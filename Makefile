@@ -1,7 +1,7 @@
 # Tier-1 gate and convenience targets. `make verify` must pass before
 # every commit; CI runs the same script.
 
-.PHONY: verify verify-full test bench bench-compare bench-scaling build fuzz-smoke
+.PHONY: verify verify-full test bench bench-compare bench-scaling build fuzz-smoke perfbench
 
 verify:
 	./scripts/verify.sh
@@ -15,6 +15,15 @@ build:
 
 test:
 	go test ./...
+
+# The repository's benchmark (perfbench/README.md): runs each workload of
+# BENCHMARK.json for 30 s on the held-out seed 7 and prints its
+# end-to-end metrics as the last line. perfbench/README.md documents the
+# traced per-layer run and the self-test.
+perfbench:
+	for w in table5 chaos coord; do \
+		bash perfbench/run.sh --workload $$w --seed 7 --seconds 30 --trace 0 || exit 1; \
+	done
 
 # Runs the fleet benchmarks with -benchmem and writes BENCH_fleet.json
 # (name, ns/op, B/op, allocs/op, sim-rate per worker-count variant).

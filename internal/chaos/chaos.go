@@ -86,6 +86,7 @@ type Injector struct {
 
 	mu        sync.Mutex
 	clock     *vtime.SimClock
+	lane      telemetry.Lane // the medium's telemetry lane, set by Attach
 	epoch     time.Time
 	links     map[linkKey]*linkState
 	lastFault time.Time
@@ -112,6 +113,7 @@ func (i *Injector) Profile() Profile { return i.profile }
 func (i *Injector) Attach(m *radio.Medium) {
 	i.mu.Lock()
 	i.clock = m.Clock()
+	i.lane = m.Lane()
 	i.epoch = i.clock.Now()
 	i.mu.Unlock()
 	m.SetInterceptor(i.Intercept)
@@ -169,7 +171,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		now = i.clock.Now()
 	}
 	i.stats.Deliveries++
-	mDeliveries.Inc()
+	mDeliveries.IncLane(i.lane)
 
 	for _, p := range i.profile.Partitions {
 		if p.For <= 0 || p.Node == "" {
@@ -181,7 +183,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		}
 		if strings.Contains(from, p.Node) || strings.Contains(to, p.Node) {
 			i.stats.Partitioned++
-			mPartitioned.Inc()
+			mPartitioned.IncLane(i.lane)
 			i.noteFault(now)
 			return nil
 		}
@@ -203,7 +205,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	}
 	if lossP > 0 && st.rng.Float64() < lossP {
 		i.stats.Dropped++
-		mDropped.Inc()
+		mDropped.IncLane(i.lane)
 		i.noteFault(now)
 		return nil
 	}
@@ -213,7 +215,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		out = append([]byte(nil), raw...)
 		out[st.rng.Intn(len(out))] ^= 1 << st.rng.Intn(8)
 		i.stats.Corrupted++
-		mCorrupted.Inc()
+		mCorrupted.IncLane(i.lane)
 		i.noteFault(now)
 	}
 
@@ -221,7 +223,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 	if i.profile.Jitter > 0 && i.profile.JitterMax > 0 && st.rng.Float64() < i.profile.Jitter {
 		delay = time.Duration(1 + st.rng.Int63n(int64(i.profile.JitterMax)))
 		i.stats.Delayed++
-		mDelayed.Inc()
+		mDelayed.IncLane(i.lane)
 		i.noteFault(now)
 	}
 
@@ -231,7 +233,7 @@ func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
 		// retransmission the receiver's MAC never asked for.
 		deliveries = append(deliveries, radio.Delivery{Delay: delay + 2*time.Millisecond, Raw: out})
 		i.stats.Duplicated++
-		mDuplicated.Inc()
+		mDuplicated.IncLane(i.lane)
 		i.noteFault(now)
 	}
 	return deliveries

@@ -295,6 +295,7 @@ func (c *Controller) dispatch(f *protocol.Frame) {
 	if security.IsEncapsulation(payload) {
 		if s, ok := c.sessions[f.Src]; ok {
 			plain, err := s.Decapsulate(security.FlowBtoA, c.aad(f.Src, f.Dst), payload)
+			security.CountS2Decapsulate(c.node.Lane(), s, err)
 			if err == nil {
 				c.stats.SecureFrames++
 				if c.cov != nil && len(plain) >= 2 {

@@ -107,6 +107,9 @@ type Collector struct {
 	features int
 	inputs   uint64
 	novel    uint64
+
+	// lane is the observed testbed's telemetry lane (SetLane).
+	lane telemetry.Lane
 }
 
 // NewCollector builds an empty coverage map.
@@ -116,6 +119,10 @@ func NewCollector() *Collector {
 		touched: make([]uint32, 0, 256),
 	}
 }
+
+// SetLane makes the collector count its metrics through lane l, the lane
+// of the testbed it observes.
+func (c *Collector) SetLane(l telemetry.Lane) { c.lane = l }
 
 // record folds one packed feature key into the current input's footprint.
 func (c *Collector) record(key uint32) {
@@ -183,7 +190,7 @@ func (c *Collector) BeginInput() {
 // is the corpus admission signal.
 func (c *Collector) EndInput() (newFeatures int) {
 	c.inputs++
-	mInputs.Inc()
+	mInputs.IncLane(c.lane)
 	for _, idx := range c.touched {
 		cls := countClass(c.cur[idx])
 		if c.classes[idx]&cls != 0 {
@@ -191,14 +198,14 @@ func (c *Collector) EndInput() (newFeatures int) {
 		}
 		if c.classes[idx] == 0 {
 			c.features++
-			mFeatures.Inc()
+			mFeatures.IncLane(c.lane)
 		}
 		c.classes[idx] |= cls
 		newFeatures++
 	}
 	if newFeatures > 0 {
 		c.novel++
-		mNovelInputs.Inc()
+		mNovelInputs.IncLane(c.lane)
 	}
 	return newFeatures
 }

@@ -93,6 +93,7 @@ func (d *DoorLock) ReportStatus() error {
 		return d.node.Send(d.hub, plain)
 	}
 	encap, err := d.session.Encapsulate(security.FlowBtoA, d.aad(d.node.ID(), d.hub), plain)
+	security.CountS2Encapsulate(d.node.Lane(), err)
 	if err != nil {
 		return err
 	}
@@ -113,6 +114,7 @@ func (d *DoorLock) handle(f *protocol.Frame) {
 	payload := f.Payload
 	if security.IsEncapsulation(payload) && d.session != nil {
 		plain, err := d.session.Decapsulate(security.FlowAtoB, d.aad(f.Src, f.Dst), payload)
+		security.CountS2Decapsulate(d.node.Lane(), d.session, err)
 		if err != nil {
 			d.rejected++
 			return
@@ -150,6 +152,7 @@ func (d *DoorLock) handleSecured(src protocol.NodeID, plain []byte) {
 	case cmdclass.CmdDoorLockOperationGet:
 		reply := []byte{byte(cmdclass.ClassDoorLock), byte(cmdclass.CmdDoorLockOperationReport), d.mode, 0x00, 0x00, 0xFE, 0xFE}
 		encap, err := d.session.Encapsulate(security.FlowBtoA, d.aad(d.node.ID(), src), reply)
+		security.CountS2Encapsulate(d.node.Lane(), err)
 		if err != nil {
 			return
 		}

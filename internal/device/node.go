@@ -130,6 +130,10 @@ func (n *Node) Name() string { return n.cfg.Name }
 // Clock exposes the simulated clock.
 func (n *Node) Clock() *vtime.SimClock { return n.clock }
 
+// Lane is the telemetry lane of the node's medium, through which the
+// device models on top of the node count their per-frame metrics.
+func (n *Node) Lane() telemetry.Lane { return n.trx.Lane() }
+
 // Detach removes the node from the air.
 func (n *Node) Detach() { n.trx.Detach() }
 
@@ -228,7 +232,7 @@ func (n *Node) armRetry(key awaitKey, raw []byte, attempt int, delay time.Durati
 			delete(n.pending, key)
 			return
 		}
-		mRetransmissions.Inc()
+		mRetransmissions.IncLane(n.Lane())
 		_ = n.trx.Transmit(raw)
 		next := delay * 2
 		if rp.MaxBackoff > 0 && next > rp.MaxBackoff {
@@ -255,7 +259,9 @@ func (n *Node) onCapture(c radio.Capture) {
 	}
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
-	if err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8); err != nil {
+	err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8)
+	protocol.CountDecode(n.Lane(), err)
+	if err != nil {
 		// Malformed frames are dropped by the chipset, as on real silicon.
 		return
 	}

@@ -72,6 +72,7 @@ func (s *S0Channel) HandleFrame(f *protocol.Frame) bool {
 		}
 		delete(s.issued, nonceID)
 		plain, err := security.S0Decapsulate(s.keys, nonce, s.header(f.Src, f.Dst), payload)
+		security.CountS0Decapsulate(s.node.Lane(), err)
 		if err != nil {
 			return true // forged or corrupted
 		}
@@ -103,6 +104,7 @@ func (s *S0Channel) SendSecured(dst protocol.NodeID, plaintext []byte) error {
 	}
 	encap, err := security.S0Encapsulate(s.keys, senderNonce, s.pendingNonce,
 		s.header(s.node.ID(), dst), plaintext)
+	security.CountS0Encapsulate(s.node.Lane(), err)
 	if err != nil {
 		return err
 	}

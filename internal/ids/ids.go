@@ -221,7 +221,9 @@ func (m *Monitor) onCapture(c radio.Capture) {
 	// detect copy what they keep into the model maps.
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
-	if err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8); err != nil {
+	err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8)
+	protocol.CountDecode(m.trx.Lane(), err)
+	if err != nil {
 		if !m.training {
 			m.raise(RuleMalformedFrame, SeverityMedium, src,
 				fmt.Sprintf("undecodable frame (%d bytes): %v", len(c.Raw), err))

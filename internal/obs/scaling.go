@@ -63,11 +63,16 @@ type ScalingPoint struct {
 	GCPauseNs int64 `json:"gc_pause_ns,omitempty"`
 }
 
+// busySec is the summed worker busy time: worker wall time minus idle.
+func (p *ScalingPoint) busySec() float64 {
+	return p.WallSec*float64(p.EffectiveWorkers) - p.IdleSec
+}
+
 // Bottleneck is one ranked serialization source.
 type Bottleneck struct {
 	Rank int `json:"rank"`
 	// Kind classifies the source: "host-parallelism", "oversubscription",
-	// "phase", "lock", "gc", "imbalance".
+	// "busy-inflation", "phase", "lock", "gc", "imbalance".
 	Kind string `json:"kind"`
 	// Detail names the concrete source ("fuzz loop", a lock site, ...).
 	Detail string `json:"detail"`
@@ -207,6 +212,21 @@ func (r *ScalingReport) rank() {
 		}
 	}
 
+	// Busy-time inflation: the same jobs should cost the same summed
+	// worker busy time at any worker count. More busy time at the max
+	// point than at workers=1 is work the workers made for each other —
+	// shared cache lines, locks, allocator and GC contention — rather
+	// than a shortage of cores. Below 5% it is noise.
+	if baseBusy, maxBusy := base.busySec(), maxp.busySec(); maxp != base && baseBusy > 0 && maxBusy > baseBusy*1.05 {
+		r.Bottlenecks = append(r.Bottlenecks, Bottleneck{
+			Kind:      "busy-inflation",
+			Detail:    fmt.Sprintf("worker busy time at workers=%d vs workers=1", maxp.Workers),
+			WallShare: (maxBusy - baseBusy) / (maxp.WallSec * float64(maxp.EffectiveWorkers)),
+			Evidence: fmt.Sprintf("%.2fx: %.1fs busy vs %.1fs for the same jobs on one worker — in-process contention",
+				maxBusy/baseBusy, maxBusy, baseBusy),
+		})
+	}
+
 	// Dominant phase: where the busy wall time actually goes, so the
 	// next optimization target is named even when scaling is healthy.
 	for _, ps := range maxp.Phases {
@@ -247,10 +267,10 @@ func (r *ScalingReport) rank() {
 		}
 	}
 
-	// Rank true serializers (host limits, oversubscription, locks, GC,
-	// imbalance) by wall share; the dominant-phase entry is attribution —
-	// where healthy busy time goes — so it sorts after them. Ties break by
-	// kind then detail for determinism.
+	// Rank true serializers (host limits, oversubscription, busy-time
+	// inflation, locks, GC, imbalance) by wall share; the dominant-phase
+	// entry is attribution — where healthy busy time goes — so it sorts
+	// after them. Ties break by kind then detail for determinism.
 	sort.SliceStable(r.Bottlenecks, func(i, j int) bool {
 		bi, bj := r.Bottlenecks[i], r.Bottlenecks[j]
 		if (bi.Kind == "phase") != (bj.Kind == "phase") {

@@ -140,3 +140,43 @@ func TestHostStamp(t *testing.T) {
 		t.Errorf("host stamp: %+v", h)
 	}
 }
+
+// TestRankNamesBusyInflation: on a 2-P host, two workers that need 1.78x
+// the busy time one worker needs for the same jobs (the first 2-core
+// sweep's figure) rank busy-time inflation, with the extra busy time as
+// its share of worker time.
+func TestRankNamesBusyInflation(t *testing.T) {
+	r := &obs.ScalingReport{
+		Host: obs.HostInfo{GoVersion: "go1.24.0", Gomaxprocs: 2, NumCPU: 2},
+		Points: []obs.ScalingPoint{
+			{Workers: 1, EffectiveWorkers: 1, WallSec: 10, SimSec: 4000, IdleSec: 0},
+			{Workers: 2, EffectiveWorkers: 2, WallSec: 9, SimSec: 4000, IdleSec: 0.2},
+		},
+	}
+	r.Finalize()
+	var got *obs.Bottleneck
+	for i := range r.Bottlenecks {
+		if r.Bottlenecks[i].Kind == "busy-inflation" {
+			got = &r.Bottlenecks[i]
+		}
+	}
+	if got == nil {
+		t.Fatalf("no busy-inflation bottleneck: %+v", r.Bottlenecks)
+	}
+	// busy: 10 s at workers=1, 2×9 − 0.2 = 17.8 s at workers=2.
+	if want := (17.8 - 10) / 18; got.WallShare < want-1e-9 || got.WallShare > want+1e-9 {
+		t.Errorf("WallShare = %v, want %v", got.WallShare, want)
+	}
+	if !strings.Contains(got.Evidence, "1.78x") || got.Rank != 1 {
+		t.Errorf("busy-inflation entry: %+v", *got)
+	}
+
+	// The same jobs at the same busy time rank no inflation.
+	r.Points[1].WallSec, r.Points[1].IdleSec = 5.1, 0.2
+	r.Finalize()
+	for _, b := range r.Bottlenecks {
+		if b.Kind == "busy-inflation" {
+			t.Errorf("flat busy time flagged: %+v", b)
+		}
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"zcover/internal/telemetry"
 )
 
-// Process-wide frame-codec metrics. Decode runs on every captured frame
+// Process-wide frame-codec metrics. Decoding runs on every captured frame
 // (receivers, sniffers, the dongle's classifier), so failures here are the
 // MAC-layer health signal: checksum failures separate from structural ones.
+// DecodeInto has no testbed in reach, so its callers count each attempt
+// through their testbed's lane with CountDecode.
 var (
 	mDecodeOK       = telemetry.Default().Counter("protocol_frames_decoded_total")
 	mDecodeFail     = telemetry.Default().Counter("protocol_decode_fail_total")
@@ -144,7 +146,9 @@ func (f *Frame) MustEncode() []byte {
 // DecodeInto, which returns the bare sentinels without formatting.
 func Decode(raw []byte, mode ChecksumMode) (*Frame, error) {
 	f := &Frame{}
-	if err := DecodeInto(f, raw, mode); err != nil {
+	err := DecodeInto(f, raw, mode)
+	CountDecode(telemetry.SharedLane, err)
+	if err != nil {
 		if mode != ChecksumCRC16 {
 			mode = ChecksumCS8
 		}
@@ -168,28 +172,25 @@ func Decode(raw []byte, mode ChecksumMode) (*Frame, error) {
 // buffer is only valid until that buffer's next use. Unlike Decode, failures
 // return the package sentinel errors themselves with no formatting, which
 // keeps the reject path of receivers and fuzzers allocation-free.
+//
+// DecodeInto counts nothing: the caller reports the attempt's outcome with
+// CountDecode.
 func DecodeInto(f *Frame, raw []byte, mode ChecksumMode) error {
 	if mode != ChecksumCRC16 {
 		mode = ChecksumCS8
 	}
 	if len(raw) < HeaderSize+mode.trailerSize() {
-		mDecodeFail.Inc()
 		return ErrFrameTooShort
 	}
 	if len(raw) > MaxFrameSize {
-		mDecodeFail.Inc()
 		return ErrFrameTooLong
 	}
 	if int(raw[7]) != len(raw) {
-		mDecodeFail.Inc()
 		return ErrLengthMismatch
 	}
 	if !verifyChecksum(raw, mode) {
-		mDecodeFail.Inc()
-		mChecksumFail.Inc()
 		return ErrBadChecksum
 	}
-	mDecodeOK.Inc()
 	*f = Frame{
 		Home:     HomeID(binary.BigEndian.Uint32(raw[0:4])),
 		Src:      NodeID(raw[4]),
@@ -199,6 +200,25 @@ func DecodeInto(f *Frame, raw []byte, mode ChecksumMode) error {
 		Checksum: mode,
 	}
 	return nil
+}
+
+// CountDecode counts one DecodeInto attempt through lane l: a decoded
+// frame, or a failure (a checksum failure counts as both a failure and a
+// checksum failure). err is DecodeInto's, which returns the sentinels
+// bare.
+func CountDecode(l telemetry.Lane, err error) {
+	if err != nil {
+		countDecodeFail(l, err) // split out to keep CountDecode inlinable
+		return
+	}
+	mDecodeOK.IncLane(l)
+}
+
+func countDecodeFail(l telemetry.Lane, err error) {
+	mDecodeFail.IncLane(l)
+	if err == ErrBadChecksum {
+		mChecksumFail.IncLane(l)
+	}
 }
 
 // SniffNetworkInfo extracts the home ID and source/destination node IDs

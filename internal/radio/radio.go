@@ -14,7 +14,11 @@
 // # Concurrency and buffer ownership
 //
 // Medium and Transceiver are safe for concurrent use; each campaign in a
-// fleet runs its own Medium, so cross-goroutine traffic never mixes. Frame
+// fleet runs its own Medium, so cross-goroutine traffic never mixes (the
+// single-owner rule is written down in package testbed). Every Medium
+// takes its own telemetry lane at construction, and the per-frame counts
+// of everything on it go through that lane, so two campaigns never write
+// the same metric cache line. Frame
 // delivery is synchronous and zero-copy: the Capture handed to a receiver
 // callback aliases the transmitter's buffer (or a pooled scratch copy on
 // impaired paths) and is valid only for the duration of the callback.
@@ -39,7 +43,8 @@ import (
 )
 
 // Process-wide air-interface metrics. Handles resolve once at init; the
-// per-frame cost is a handful of lock-free atomic adds.
+// per-frame cost is a handful of lock-free atomic adds into the medium's
+// telemetry lane.
 var (
 	mTxFrames  = telemetry.Default().Counter("radio_tx_frames_total")
 	mRxFrames  = telemetry.Default().Counter("radio_rx_frames_total")
@@ -135,6 +140,9 @@ type InterceptFunc func(from, to string, raw []byte) []Delivery
 // safe for concurrent use, though the simulation driver is single-threaded.
 type Medium struct {
 	clock *vtime.SimClock
+	// lane is the telemetry lane every per-frame count of this medium's
+	// testbed goes through (see Lane).
+	lane telemetry.Lane
 
 	mu        sync.Mutex
 	nodes     []*Transceiver
@@ -153,11 +161,16 @@ func NewMedium(clock *vtime.SimClock) *Medium {
 	if clock == nil {
 		panic("radio: NewMedium requires a clock")
 	}
-	return &Medium{clock: clock, impSeed: 1}
+	return &Medium{clock: clock, lane: telemetry.NextLane(), impSeed: 1}
 }
 
 // Clock exposes the medium's simulated clock.
 func (m *Medium) Clock() *vtime.SimClock { return m.clock }
+
+// Lane is the telemetry lane the medium took at construction. One medium
+// is one testbed, so the nodes, dongle, interceptor and fuzz engine on it
+// count their per-frame metrics through this lane too.
+func (m *Medium) Lane() telemetry.Lane { return m.lane }
 
 // SetImpairments configures random frame loss and single-byte noise
 // corruption probabilities (both in [0,1]) with a deterministic seed.
@@ -257,7 +270,7 @@ var targetPool = sync.Pool{New: func() any { return new([]*Transceiver) }}
 // retain its input.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
-		mTooLong.Inc()
+		mTooLong.IncLane(m.lane)
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(raw))
 	}
 	m.mu.Lock()
@@ -300,8 +313,8 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	m.mu.Unlock()
 
 	airtime := Airtime(len(raw))
-	mTxFrames.Inc()
-	mAirtime.Observe(float64(airtime) / float64(time.Millisecond))
+	mTxFrames.IncLane(m.lane)
+	mAirtime.ObserveLane(m.lane, float64(airtime)/float64(time.Millisecond))
 
 	at := m.clock.Now().Add(airtime)
 	lost, corrupted := 0, 0
@@ -361,8 +374,12 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	nTargets := len(targets)
 	*targetsp = targets[:0]
 	targetPool.Put(targetsp)
-	mLost.Add(int64(lost))
-	mCorrupted.Add(int64(corrupted))
+	if lost > 0 {
+		mLost.AddLane(m.lane, int64(lost))
+	}
+	if corrupted > 0 {
+		mCorrupted.AddLane(m.lane, int64(corrupted))
+	}
 	if recorder != nil {
 		// Record copies raw into ring-owned storage, so no pre-copy here.
 		recorder.Record(telemetry.FrameRecord{
@@ -430,6 +447,9 @@ func (t *Transceiver) Name() string { return t.name }
 // Region reports the RF region the transceiver is tuned to.
 func (t *Transceiver) Region() Region { return t.region }
 
+// Lane reports the telemetry lane of the transceiver's medium.
+func (t *Transceiver) Lane() telemetry.Lane { return t.medium.lane }
+
 // SetReceiver installs the frame-delivery callback. Passing nil silences
 // the transceiver (frames still count as received).
 func (t *Transceiver) SetReceiver(fn func(Capture)) {
@@ -472,7 +492,7 @@ func (t *Transceiver) deliver(c Capture) {
 		return
 	}
 	t.rxCount.Add(1)
-	mRxFrames.Inc()
+	mRxFrames.IncLane(t.medium.lane)
 	t.mu.Lock()
 	fn := t.handler
 	t.mu.Unlock()

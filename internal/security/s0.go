@@ -11,6 +11,9 @@ import (
 )
 
 // Process-wide S0 transport metrics (the S2 counterparts live in s2.go).
+// The package has no testbed in reach, so the callers count each operation
+// through their testbed's lane with CountS0Encapsulate and
+// CountS0Decapsulate.
 var (
 	mS0Encrypt  = telemetry.Default().Counter("security_s0_encrypt_total")
 	mS0Decrypt  = telemetry.Default().Counter("security_s0_decrypt_total")
@@ -131,8 +134,25 @@ func S0Encapsulate(keys S0Keys, senderNonce, receiverNonce, header, plaintext []
 	mac := s0MAC(authCtx, sc, header, ct)
 	out = append(out, receiverNonce[0]) // nonce identifier
 	out = append(out, mac[:]...)
-	mS0Encrypt.Inc()
 	return out, nil
+}
+
+// CountS0Encapsulate counts one S0Encapsulate call through lane l.
+func CountS0Encapsulate(l telemetry.Lane, err error) {
+	if err == nil {
+		mS0Encrypt.IncLane(l)
+	}
+}
+
+// CountS0Decapsulate counts one S0Decapsulate call through lane l: a
+// decryption, or an authentication failure.
+func CountS0Decapsulate(l telemetry.Lane, err error) {
+	switch {
+	case err == nil:
+		mS0Decrypt.IncLane(l)
+	case errors.Is(err, ErrS0Auth):
+		mS0AuthFail.IncLane(l)
+	}
 }
 
 // S0Decapsulate reverses S0Encapsulate. The caller supplies the receiver
@@ -140,11 +160,9 @@ func S0Encapsulate(keys S0Keys, senderNonce, receiverNonce, header, plaintext []
 func S0Decapsulate(keys S0Keys, receiverNonce, header, payload []byte) ([]byte, error) {
 	minLen := 2 + S0NonceSize + 1 + S0MACSize
 	if len(payload) < minLen {
-		mS0AuthFail.Inc()
 		return nil, fmt.Errorf("%w: payload too short (%d bytes)", ErrS0Auth, len(payload))
 	}
 	if payload[0] != 0x98 || payload[1] != 0x81 {
-		mS0AuthFail.Inc()
 		return nil, fmt.Errorf("%w: not an S0 message encapsulation", ErrS0Auth)
 	}
 	senderNonce := payload[2 : 2+S0NonceSize]
@@ -153,7 +171,6 @@ func S0Decapsulate(keys S0Keys, receiverNonce, header, payload []byte) ([]byte, 
 	gotMAC := payload[len(payload)-S0MACSize:]
 
 	if nonceID != receiverNonce[0] {
-		mS0AuthFail.Inc()
 		return nil, fmt.Errorf("%w: unknown receiver nonce id %#02x", ErrS0Auth, nonceID)
 	}
 	authCtx, err := contextFor(keys.Auth)
@@ -166,7 +183,6 @@ func S0Decapsulate(keys S0Keys, receiverNonce, header, payload []byte) ([]byte, 
 	copy(sc.iv[S0NonceSize:], receiverNonce)
 	wantMAC := s0MAC(authCtx, sc, header, ct)
 	if subtle.ConstantTimeCompare(gotMAC, wantMAC[:]) != 1 {
-		mS0AuthFail.Inc()
 		return nil, ErrS0Auth
 	}
 	encCtx, err := contextFor(keys.Enc)
@@ -175,7 +191,6 @@ func S0Decapsulate(keys S0Keys, receiverNonce, header, payload []byte) ([]byte, 
 	}
 	pt := make([]byte, len(ct))
 	ofbCrypt(encCtx, sc, pt, ct)
-	mS0Decrypt.Inc()
 	return pt, nil
 }
 

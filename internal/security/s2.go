@@ -11,6 +11,9 @@ import (
 )
 
 // Process-wide S2 transport metrics (the S0 counterparts live in s0.go).
+// The package has no testbed in reach, so the callers count each operation
+// through their testbed's lane with CountS2Encapsulate and
+// CountS2Decapsulate.
 var (
 	mS2Encrypt  = telemetry.Default().Counter("security_s2_encrypt_total")
 	mS2Decrypt  = telemetry.Default().Counter("security_s2_decrypt_total")
@@ -136,6 +139,9 @@ type Session struct {
 	// equivalent of the SOS nonce-report exchange a receiver performs when
 	// frame loss has desynchronised the nonce stream.
 	recoveryWindow int
+	// resynced reports whether the last Decapsulate fast-forwarded the
+	// flow (read by CountS2Decapsulate).
+	resynced bool
 }
 
 // SetRecoveryWindow enables SPAN desync recovery: after an authentication
@@ -215,7 +221,6 @@ func (s *Session) Encapsulate(flow Flow, aad, plaintext []byte) ([]byte, error) 
 	out := make([]byte, 0, 4+len(plaintext)+CCMTagSize)
 	out = append(out, 0x9F, 0x03, seq, 0x00)
 	out = s.aead.Seal(out, nonce[:], plaintext, fullAAD)
-	mS2Encrypt.Inc()
 	return out, nil
 }
 
@@ -223,17 +228,15 @@ func (s *Session) Encapsulate(flow Flow, aad, plaintext []byte) ([]byte, error) 
 // flow. It enforces SPAN ordering: a replayed or reordered sequence number
 // yields ErrS2Desync; a forged or corrupted ciphertext yields ErrS2Auth.
 func (s *Session) Decapsulate(flow Flow, aad, payload []byte) ([]byte, error) {
+	s.resynced = false
 	if len(payload) < 4+CCMTagSize {
-		mS2AuthFail.Inc()
 		return nil, fmt.Errorf("%w: payload too short (%d bytes)", ErrS2Auth, len(payload))
 	}
 	if payload[0] != 0x9F || payload[1] != 0x03 {
-		mS2AuthFail.Inc()
 		return nil, fmt.Errorf("%w: not an S2 message encapsulation", ErrS2Auth)
 	}
 	seq, extFlags := payload[2], payload[3]
 	if s.haveSeq[flow] && seq == s.lastSeq[flow] {
-		mS2Desync.Inc()
 		return nil, fmt.Errorf("%w: duplicate sequence %d", ErrS2Desync, seq)
 	}
 
@@ -254,19 +257,40 @@ func (s *Session) Decapsulate(flow Flow, aad, payload []byte) ([]byte, error) {
 				s.ctr[flow] = n + uint32(skip) + 1
 				s.lastSeq[flow] = seq
 				s.haveSeq[flow] = true
-				mS2Resync.Inc()
-				mS2Decrypt.Inc()
+				s.resynced = true
 				return pt, nil
 			}
 		}
-		mS2AuthFail.Inc()
 		return nil, fmt.Errorf("%w: %v", ErrS2Auth, err)
 	}
 	s.ctr[flow] = n + 1
 	s.lastSeq[flow] = seq
 	s.haveSeq[flow] = true
-	mS2Decrypt.Inc()
 	return pt, nil
+}
+
+// CountS2Encapsulate counts one Session.Encapsulate call through lane l.
+func CountS2Encapsulate(l telemetry.Lane, err error) {
+	if err == nil {
+		mS2Encrypt.IncLane(l)
+	}
+}
+
+// CountS2Decapsulate counts one s.Decapsulate call through lane l: a
+// decryption (and a resync when it recovered from a SPAN gap), a desync,
+// or an authentication failure.
+func CountS2Decapsulate(l telemetry.Lane, s *Session, err error) {
+	switch {
+	case err == nil:
+		mS2Decrypt.IncLane(l)
+		if s.resynced {
+			mS2Resync.IncLane(l)
+		}
+	case errors.Is(err, ErrS2Desync):
+		mS2Desync.IncLane(l)
+	case errors.Is(err, ErrS2Auth):
+		mS2AuthFail.IncLane(l)
+	}
 }
 
 // Resync resets a flow's SPAN counter to the peer's announced value after

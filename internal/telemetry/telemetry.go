@@ -19,6 +19,10 @@
 //   - Hot-path cost. Counter/gauge/histogram updates are single atomic
 //     operations with no locks and no allocation; instrument handles are
 //     resolved once (package init or construction time), never per event.
+//     Counters and histograms keep one cell per Lane, lanes on separate
+//     cache lines, and per-frame code writes through its testbed's lane,
+//     so the fleet's concurrent campaigns never write the same cache line;
+//     readers sum the lanes.
 //   - Sim-time awareness. Registries can be pointed at a vtime.SimClock's
 //     Now so exported timestamps live on the simulated timeline.
 package telemetry
@@ -37,23 +41,101 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing metric. All methods are lock-free
-// and safe for concurrent use.
-type Counter struct {
-	v atomic.Int64
+// Lanes is the number of cells every counter and histogram spreads its
+// writes over. Goroutines adding through different lanes never write the
+// same cache line; readers sum the lanes. The count is fixed: a testbed's
+// lane is an index, not a per-P or per-goroutine slot, and two testbeds
+// that happen to share a lane cost only speed, never counts.
+const Lanes = 16
+
+// Lane selects one cell of every laned instrument. Code that drives a
+// testbed writes through the lane its radio.Medium took at construction
+// (NextLane); code with no testbed in reach uses SharedLane through the
+// plain Inc/Add/Observe methods.
+type Lane uint8
+
+// SharedLane is the lane of every write that does not name one: cold call
+// sites, and hot code running outside a testbed. NextLane never hands it
+// out, so testbeds do not share lines with that traffic.
+const SharedLane Lane = 0
+
+var laneSeq atomic.Uint32
+
+// NextLane hands out the lanes 1..Lanes-1 round-robin. Each testbed takes
+// one when its medium is built; testbeds built back to back get different
+// lanes, so the fleet's concurrently running campaigns write disjoint
+// cache lines.
+func NextLane() Lane { return Lane(1 + (laneSeq.Add(1)-1)%(Lanes-1)) }
+
+// Cells live in lane-major blocks: lane l of a block owns a contiguous run
+// of words, so one lane's cells of every instrument share a few cache
+// lines, and each run is followed by padCells words of padding, so no two
+// lanes are within two 64-byte lines of each other whatever the
+// allocation's alignment.
+const (
+	blockCells = 64 // cells per lane in a block shared by small instruments
+	padCells   = 16 // 128 bytes: a line pair, for the adjacent-line prefetcher
+)
+
+// block is one allocation of lane-major cells (see blockCells).
+type block struct {
+	words  []atomic.Uint64
+	stride int // words per lane: capacity plus padding
+	used   int // words of each lane handed out
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// take hands out n consecutive cells of every lane, returning each lane's
+// run.
+func (b *block) take(n int) (lanes [Lanes][]atomic.Uint64) {
+	for l := range lanes {
+		lanes[l] = b.words[l*b.stride+b.used:][:n:n]
+	}
+	b.used += n
+	return lanes
+}
 
-// Add adds n (n must be non-negative; counters are monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+// cells hands out n cells per lane from the registry's current block,
+// starting a new block when it is full. Callers hold r.mu.
+func (r *Registry) cells(n int) [Lanes][]atomic.Uint64 {
+	if b := r.block; b == nil || b.used+n > b.stride-padCells {
+		size := max(n, blockCells)
+		r.block = &block{words: make([]atomic.Uint64, Lanes*(size+padCells)), stride: size + padCells}
+	}
+	return r.block.take(n)
+}
 
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
+// Counter is a monotonically increasing metric, kept as one cell per lane.
+// All methods are lock-free and safe for concurrent use. Construct through
+// a Registry.
+type Counter struct {
+	lanes [Lanes]*atomic.Uint64
+}
+
+// Inc adds one through the shared lane.
+func (c *Counter) Inc() { c.lanes[SharedLane].Add(1) }
+
+// Add adds n through the shared lane (n must be non-negative; counters
+// are monotonic).
+func (c *Counter) Add(n int64) { c.lanes[SharedLane].Add(uint64(n)) }
+
+// IncLane adds one through lane l.
+func (c *Counter) IncLane(l Lane) { c.lanes[l%Lanes].Add(1) }
+
+// AddLane adds n through lane l (n must be non-negative).
+func (c *Counter) AddLane(l Lane, n int64) { c.lanes[l%Lanes].Add(uint64(n)) }
+
+// Load returns the current value: the sum of every lane.
+func (c *Counter) Load() int64 {
+	var n uint64
+	for _, v := range c.lanes {
+		n += v.Load()
+	}
+	return int64(n)
+}
 
 // Gauge is a metric that can move in both directions (queue depths, live
-// totals with rollback). All methods are lock-free.
+// totals with rollback). All methods are lock-free. Gauges are written
+// per job, not per frame, so they keep a single cell.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -67,52 +149,64 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Histogram is a fixed-bucket cumulative histogram. Bucket bounds are
-// immutable after construction; Observe is a binary search over a handful
-// of bounds plus two atomic adds — no locks, no allocation.
+// Histogram is a fixed-bucket cumulative histogram, kept as one run of
+// cells per lane. Bucket bounds are immutable after construction; Observe
+// is a binary search over a handful of bounds plus an atomic add and a CAS
+// on the lane's own cells — no locks, no allocation. Construct through a
+// Registry.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds; implicit +Inf bucket follows
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits, CAS-accumulated
+	bounds []float64 // sorted upper bounds; implicit +Inf bucket follows
+	// lanes[l][0] is lane l's sum (float64 bits, CAS-accumulated);
+	// lanes[l][1:] are its bucket counts. The count is the buckets' sum.
+	lanes [Lanes][]atomic.Uint64
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, buckets: make([]atomic.Int64, len(bs)+1)}
-}
+// Observe records one value through the shared lane. Values land in the
+// first bucket whose upper bound is >= v (Prometheus "le" semantics);
+// values above every bound land in the implicit +Inf bucket.
+func (h *Histogram) Observe(v float64) { h.ObserveLane(SharedLane, v) }
 
-// Observe records one value. Values land in the first bucket whose upper
-// bound is >= v (Prometheus "le" semantics); values above every bound land
-// in the implicit +Inf bucket.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+// ObserveLane records one value through lane l.
+func (h *Histogram) ObserveLane(l Lane, v float64) {
+	cell := h.lanes[l%Lanes]
+	cell[1+sort.SearchFloat64s(h.bounds, v)].Add(1)
 	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		old := cell[0].Load()
+		if cell[0].CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for _, c := range h.BucketCounts() {
+		n += c
+	}
+	return n
+}
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+// Sum returns the sum of observations, added up lane by lane.
+func (h *Histogram) Sum() float64 {
+	var s float64
+	for _, cell := range h.lanes {
+		s += math.Float64frombits(cell[0].Load())
+	}
+	return s
+}
 
 // Bounds returns a copy of the bucket upper bounds (without +Inf).
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
-// BucketCounts returns the per-bucket (non-cumulative) counts; the last
-// entry is the +Inf bucket.
+// BucketCounts returns the per-bucket (non-cumulative) counts summed over
+// the lanes; the last entry is the +Inf bucket.
 func (h *Histogram) BucketCounts() []int64 {
-	out := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
+	out := make([]int64, len(h.bounds)+1)
+	for _, cell := range h.lanes {
+		for i := range out {
+			out[i] += int64(cell[1+i].Load())
+		}
 	}
 	return out
 }
@@ -127,6 +221,7 @@ type Registry struct {
 	ctrs  map[string]*Counter
 	ggs   map[string]*Gauge
 	hists map[string]*Histogram
+	block *block // where the next instrument's cells come from
 }
 
 // NewRegistry returns an empty registry stamped with wall-clock time.
@@ -164,6 +259,9 @@ func (r *Registry) Counter(name string) *Counter {
 	c, ok := r.ctrs[name]
 	if !ok {
 		c = &Counter{}
+		for l, cell := range r.cells(1) {
+			c.lanes[l] = &cell[0]
+		}
 		r.ctrs[name] = c
 	}
 	return c
@@ -189,7 +287,9 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHistogram(bounds)
+		bs := append([]float64(nil), bounds...)
+		sort.Float64s(bs)
+		h = &Histogram{bounds: bs, lanes: r.cells(len(bs) + 2)}
 		r.hists[name] = h
 	}
 	return h
@@ -201,17 +301,19 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.ctrs {
-		c.v.Store(0)
+		for _, v := range c.lanes {
+			v.Store(0)
+		}
 	}
 	for _, g := range r.ggs {
 		g.v.Store(0)
 	}
 	for _, h := range r.hists {
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
+		for _, cell := range h.lanes {
+			for i := range cell {
+				cell[i].Store(0)
+			}
 		}
-		h.count.Store(0)
-		h.sum.Store(0)
 	}
 }
 
@@ -273,7 +375,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		cum += counts[len(counts)-1]
 		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-			nh.name, cum, nh.name, nh.h.Sum(), nh.name, nh.h.Count()); err != nil {
+			nh.name, cum, nh.name, nh.h.Sum(), nh.name, cum); err != nil {
 			return err
 		}
 	}
@@ -335,11 +437,16 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		doc.Gauges[g.name] = g.v
 	}
 	for _, nh := range hists {
+		counts := nh.h.BucketCounts()
+		var n int64
+		for _, c := range counts {
+			n += c
+		}
 		doc.Histograms[nh.name] = jsonHistogram{
 			Bounds: nh.h.Bounds(),
-			Counts: nh.h.BucketCounts(),
+			Counts: counts,
 			Sum:    nh.h.Sum(),
-			Count:  nh.h.Count(),
+			Count:  n,
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -3,6 +3,19 @@
 // binary switch (D9), a shared simulated air, and the oracle bus. Every
 // experiment, example, and integration test builds its world through this
 // package.
+//
+// # Ownership
+//
+// One goroutine drives a testbed. Its SimClock, Medium, Transceivers,
+// Nodes, controller, dongle and fuzz engine are used only from the
+// goroutine running the campaign on it; a fleet worker builds a private
+// testbed per job and never hands it to another goroutine. Nothing in the
+// pipeline relies on those types being safe for concurrent use. They still
+// are — their mutexes stay, and TestTransceiverConcurrentHammer (radio)
+// and TestInjectorConcurrentHammer (chaos) pin that — but the rule is what
+// makes per-testbed state (the Medium's telemetry lane, pools, caches)
+// free of cross-worker traffic, and it is what a later change may rely on
+// to drop those mutexes.
 package testbed
 
 import (

@@ -12,6 +12,7 @@ import (
 
 	"zcover/internal/protocol"
 	"zcover/internal/radio"
+	"zcover/internal/telemetry"
 	"zcover/internal/vtime"
 )
 
@@ -58,6 +59,9 @@ func New(m *radio.Medium, region radio.Region) *Dongle {
 
 // Clock exposes the simulated clock the dongle advances while waiting.
 func (d *Dongle) Clock() *vtime.SimClock { return d.clock }
+
+// Lane is the telemetry lane of the dongle's medium.
+func (d *Dongle) Lane() telemetry.Lane { return d.trx.Lane() }
 
 // PacketsSent reports the number of frames injected so far.
 func (d *Dongle) PacketsSent() int { return d.sent }
@@ -141,8 +145,10 @@ func (d *Dongle) classify(home protocol.HomeID, src, dst protocol.NodeID) Exchan
 	var ex Exchange
 	f := protocol.GetFrame()
 	defer protocol.PutFrame(f)
+	lane := d.Lane()
 	for i := range d.buffer {
 		err := protocol.DecodeInto(f, d.buffer[i].Raw, protocol.ChecksumCS8)
+		protocol.CountDecode(lane, err)
 		if err != nil || f.Home != home || f.Src != dst || f.Dst != src {
 			continue
 		}

@@ -68,9 +68,11 @@ func NewCov(d *dongle.Dongle, fp scan.Fingerprint, queue []*cmdclass.Class, mut 
 	if err != nil {
 		return nil, err
 	}
+	cov := coverage.NewCollector()
+	cov.SetLane(d.Lane())
 	return &CovEngine{
 		Engine: base,
-		cov:    coverage.NewCollector(),
+		cov:    cov,
 		corp:   corpus.NewManager(mut, queue, campaignSeed),
 		tested: make(map[string]bool),
 	}, nil

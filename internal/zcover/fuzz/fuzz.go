@@ -336,7 +336,7 @@ func (e *Engine) runPayload(payload []byte) (newFinding bool, recovery time.Dura
 	ex, err := e.dongle.SendAndObserve(e.fp.Home, scan.AttackerNodeID, e.fp.Controller,
 		payload, e.cfg.ResponseWindow)
 	e.res.PacketsSent++
-	mPackets.Inc()
+	mPackets.IncLane(e.dongle.Lane())
 	if err != nil {
 		return false, 0 // unencodable mutant: skip, as a dongle would
 	}
