@@ -40,42 +40,39 @@ func captureStdout(t *testing.T, f func() error) string {
 	return string(out)
 }
 
-// TestShardMergeCLI drives the -checkpoint-dir/-shard/-merge flags end to
-// end on the cheap table4 experiment: two shards journaled separately and
-// merged must print the same table as the plain run.
-func TestShardMergeCLI(t *testing.T) {
+// TestCheckpointResumeCLI drives -checkpoint-dir/-resume end to end on the
+// cheap table4 experiment: the journaled run prints the plain run's table,
+// and resuming the complete journal prints it again without executing
+// anything (an executed job would append to the journal).
+func TestCheckpointResumeCLI(t *testing.T) {
 	want := captureStdout(t, func() error { return run([]string{"-run", "table4"}) })
 	dir := t.TempDir()
-	for _, shard := range []string{"1/2", "2/2"} {
-		out := captureStdout(t, func() error {
-			return run([]string{"-run", "table4", "-checkpoint-dir", dir, "-shard", shard})
-		})
-		if !strings.Contains(out, "shard "+shard+" complete") {
-			t.Fatalf("shard %s: no completion note in output:\n%s", shard, out)
-		}
-		if strings.Contains(out, "Table IV") {
-			t.Fatalf("shard %s rendered a partial table", shard)
-		}
-	}
-	got := captureStdout(t, func() error {
-		return run([]string{"-run", "table4", "-checkpoint-dir", dir, "-merge"})
+	first := captureStdout(t, func() error {
+		return run([]string{"-run", "table4", "-checkpoint-dir", dir})
 	})
-	if got != want {
-		t.Errorf("merged table differs from plain run:\n--- plain ---\n%s--- merged ---\n%s", want, got)
+	journal := filepath.Join(dir, "journal-table4-1of1.jsonl")
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := captureStdout(t, func() error {
+		return run([]string{"-run", "table4", "-checkpoint-dir", dir, "-resume"})
+	})
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != want || resumed != want {
+		t.Errorf("checkpointed table differs from plain run:\n--- plain ---\n%s--- journaled ---\n%s--- resumed ---\n%s", want, first, resumed)
+	}
+	if string(after) != string(before) {
+		t.Errorf("resuming a complete journal appended %d bytes", len(after)-len(before))
 	}
 }
 
 func TestCheckpointFlagValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-run", "table4", "-resume"},
-		{"-run", "table4", "-shard", "1/2"},
-		{"-run", "table4", "-merge"},
-		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-merge", "-shard", "1/2"},
-		{"-run", "table4", "-checkpoint-dir", t.TempDir(), "-shard", "3/2"},
-	} {
-		if err := run(args); err == nil {
-			t.Errorf("%v: inconsistent checkpoint flags accepted", args)
-		}
+	if err := run([]string{"-run", "table4", "-resume"}); err == nil {
+		t.Error("-resume without -checkpoint-dir accepted")
 	}
 }
 
@@ -133,7 +130,7 @@ func TestScalingFlagValidation(t *testing.T) {
 	}
 }
 
-// TestObsAddrFlag pins the fixed -pprof pattern: the server binds before
+// TestObsAddrFlag pins the -obs-addr pattern: the server binds before
 // any experiment work, serves the unified endpoints, and a bad address is
 // an immediate error instead of a swallowed goroutine print.
 func TestObsAddrFlag(t *testing.T) {
@@ -142,9 +139,5 @@ func TestObsAddrFlag(t *testing.T) {
 	}
 	if err := run([]string{"-run", "fig1", "-obs-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatalf("-obs-addr with ephemeral port: %v", err)
-	}
-	// The deprecated alias must keep working.
-	if err := run([]string{"-run", "fig1", "-pprof", "127.0.0.1:0"}); err != nil {
-		t.Fatalf("-pprof alias: %v", err)
 	}
 }

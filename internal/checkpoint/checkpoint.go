@@ -1,8 +1,8 @@
 // Package checkpoint implements the crash-safe campaign journal: an
 // append-only, fsync'd JSONL file that records a campaign's completed
-// jobs so a fleet killed at any point can resume without losing work,
-// and so a campaign split across machines (shards) can be merged back
-// into one result set.
+// jobs so a fleet killed at any point can resume without losing work.
+// The distributed coordinator (internal/coord) writes the same format, so
+// a campaign split across worker machines reassembles into one journal.
 //
 // # Format
 //
@@ -13,7 +13,7 @@
 //	...
 //
 // The first record is always the Manifest — the campaign's identity
-// (name, a hash of the full job list, the shard assignment). Every
+// (name, a hash of the full job list, the job count). Every
 // following record is one completed job's serialised outcome. The crc
 // field is the CRC-32 (IEEE) of "type:seq:" + the body's exact bytes,
 // so any bit flip, splice, or truncation inside a record is detected on
@@ -34,9 +34,8 @@
 // The journal stores outcomes byte-for-byte as the caller serialised
 // them. Because every campaign job is deterministic in its seed, a
 // killed-and-resumed run re-executes only the jobs missing from the
-// journal and reproduces the uninterrupted run exactly; N merged shards
-// reproduce the 1-shard run exactly. internal/harness pins both
-// invariants against the golden tables.
+// journal and reproduces the uninterrupted run exactly. internal/harness
+// pins that invariant against the golden tables.
 package checkpoint
 
 import (
@@ -48,7 +47,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -72,9 +70,9 @@ var (
 // metric). Callers invoke it once per cache hit.
 func NoteResumed() { mResumed.Inc() }
 
-// Manifest identifies the campaign a journal belongs to. Resume and
-// merge refuse journals whose manifest does not match the job list
-// being executed — a checkpoint must never replay into a different
+// Manifest identifies the campaign a journal belongs to. Resume
+// refuses journals whose manifest does not match the job list being
+// executed — a checkpoint must never replay into a different
 // campaign.
 type Manifest struct {
 	// Version is the journal format version (see Version).
@@ -85,18 +83,20 @@ type Manifest struct {
 	// budgets and seeds included, so a resumed run provably executes
 	// the same campaign the journal was written for.
 	SpecHash string `json:"spec_hash"`
-	// TotalJobs is the unsharded campaign's job count.
+	// TotalJobs is the campaign's job count.
 	TotalJobs int `json:"total_jobs"`
-	// ShardIndex/ShardCount is the 1-based shard assignment this
-	// journal covers (1/1 for unsharded runs).
+	// ShardIndex/ShardCount record which 1-based slice of the job list
+	// the journal covers. Create writes 1/1 (the whole campaign), the
+	// only value resume accepts; the fields stay in the format so every
+	// journal on disk keeps parsing.
 	ShardIndex int `json:"shard_index"`
-	// ShardCount is the total number of shards.
+	// ShardCount is the number of slices the job list was split into.
 	ShardCount int `json:"shard_count"`
 }
 
 // JobRecord is one completed job's durable outcome.
 type JobRecord struct {
-	// Index is the job's position in the full (unsharded) job list.
+	// Index is the job's position in the campaign's job list.
 	Index int `json:"index"`
 	// Label echoes Job.Label for human inspection of journals.
 	Label string `json:"label"`
@@ -142,27 +142,13 @@ func SpecHash(spec any) (string, error) {
 	return fmt.Sprintf("%016x", crc64.Checksum(raw, specTable)), nil
 }
 
-// JournalPath names the journal file for one campaign shard inside a
-// checkpoint directory. Campaign names may contain '/' (trials/D3);
-// path separators are flattened so every journal lives directly in dir.
-func JournalPath(dir, campaign string, shardIndex, shardCount int) string {
-	if shardIndex <= 0 || shardCount <= 0 {
-		shardIndex, shardCount = 1, 1
-	}
-	return filepath.Join(dir, fmt.Sprintf("journal-%s-%dof%d.jsonl",
-		sanitize(campaign), shardIndex, shardCount))
-}
-
-// ListJournals returns every shard journal for a campaign in dir,
-// sorted by filename (and therefore by shard index for a fixed count).
-func ListJournals(dir, campaign string) ([]string, error) {
-	pattern := filepath.Join(dir, "journal-"+sanitize(campaign)+"-*of*.jsonl")
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: listing journals: %w", err)
-	}
-	sort.Strings(paths)
-	return paths, nil
+// JournalPath names the journal file for one campaign inside a checkpoint
+// directory. Campaign names may contain '/' (trials/D3); path separators
+// are flattened so every journal lives directly in dir. The fixed
+// "-1of1" suffix keeps the names earlier builds wrote, so existing
+// checkpoints resume.
+func JournalPath(dir, campaign string) string {
+	return filepath.Join(dir, "journal-"+sanitize(campaign)+"-1of1.jsonl")
 }
 
 // sanitize flattens a campaign name into a filename component.

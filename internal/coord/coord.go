@@ -1,5 +1,5 @@
 // Package coord turns one campaign into leased work units spread across
-// many worker processes (or machines) and merges the results back into
+// many worker processes (or machines) and reassembles the results into
 // the exact byte stream a single-machine run would have produced.
 //
 // # Roles
@@ -34,9 +34,9 @@
 // correctness state: a result upload is valid whenever its spec hash
 // matches the manifest, even from a lease it no longer remembers. A
 // duplicate upload (a late straggler finishing after its job was
-// re-issued and completed elsewhere) is deduplicated by byte comparison
-// exactly like a shard merge; bytes that differ are corruption and are
-// refused. Leases live only in memory — after a coordinator restart the
+// re-issued and completed elsewhere) is deduplicated by byte comparison,
+// as journal replay deduplicates a record written twice; bytes that
+// differ are corruption and are refused. Leases live only in memory — after a coordinator restart the
 // journal restores every completed job and the open ones are simply
 // re-leased. internal/harness pins the invariant: coordinator + N
 // workers == the single-machine run, byte-for-byte, tables and bug log

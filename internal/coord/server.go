@@ -27,7 +27,8 @@ type Config struct {
 	// The journal is the coordinator's only durable state: a restarted
 	// coordinator recovers every completed job from it and re-leases the
 	// rest. The file is the same format (and path) a single-machine
-	// checkpointed run writes, so `experiments -merge` can render it.
+	// checkpointed run writes; a coordinator resumed on a complete
+	// journal renders the campaign without leasing anything.
 	Dir string
 	// Resume permits recovering an existing journal; without it an
 	// existing journal is an error, exactly like the CLI -resume rule.
@@ -110,13 +111,12 @@ func New(cfg Config) (*Coordinator, error) {
 		c.jobs[i].label = job.Label()
 	}
 	manifest := checkpoint.Manifest{
-		Campaign: cfg.Campaign, SpecHash: cfg.SpecHash,
-		TotalJobs: len(cfg.Jobs), ShardIndex: 1, ShardCount: 1,
+		Campaign: cfg.Campaign, SpecHash: cfg.SpecHash, TotalJobs: len(cfg.Jobs),
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	path := checkpoint.JournalPath(cfg.Dir, cfg.Campaign, 1, 1)
+	path := checkpoint.JournalPath(cfg.Dir, cfg.Campaign)
 	journal, replay, err := openJournal(path, manifest, cfg.Resume)
 	if err != nil {
 		return nil, err

@@ -142,13 +142,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 // worker ID so several workers can share one directory.
 func (w *worker) openCache() error {
 	manifest := checkpoint.Manifest{
-		Campaign: w.manifest.Campaign, SpecHash: w.manifest.SpecHash,
-		TotalJobs: w.manifest.TotalJobs, ShardIndex: 1, ShardCount: 1,
+		Campaign: w.manifest.Campaign, SpecHash: w.manifest.SpecHash, TotalJobs: w.manifest.TotalJobs,
 	}
 	if err := os.MkdirAll(w.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	path := checkpoint.JournalPath(w.cfg.Dir, w.manifest.Campaign+"-worker-"+w.cfg.ID, 1, 1)
+	path := checkpoint.JournalPath(w.cfg.Dir, w.manifest.Campaign+"-worker-"+w.cfg.ID)
 	journal, replay, err := openJournal(path, manifest, w.cfg.Resume)
 	if err != nil {
 		return err

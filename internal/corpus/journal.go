@@ -33,7 +33,7 @@ func OpenJournal(dir, name string, spec any, resume bool) (*Journal, error) {
 		return nil, err
 	}
 	campaign := "corpus-" + name
-	path := checkpoint.JournalPath(dir, campaign, 1, 1)
+	path := checkpoint.JournalPath(dir, campaign)
 
 	if _, statErr := os.Stat(path); statErr == nil {
 		if !resume {
@@ -70,10 +70,7 @@ func OpenJournal(dir, name string, spec any, resume bool) (*Journal, error) {
 		return &Journal{j: j, replay: replay}, nil
 	}
 
-	manifest := checkpoint.Manifest{
-		Campaign: campaign, SpecHash: hash, ShardIndex: 1, ShardCount: 1,
-	}
-	j, err := checkpoint.Create(path, manifest)
+	j, err := checkpoint.Create(path, checkpoint.Manifest{Campaign: campaign, SpecHash: hash})
 	if err != nil {
 		return nil, err
 	}

@@ -180,15 +180,30 @@ type Config struct {
 	// stream the pipeline phases also write to.
 	Tracer *telemetry.Tracer
 	// Checkpoint, if set, asks the campaign layer to journal completed
-	// jobs crash-safely and to resume/shard/merge across runs. The fleet
-	// carries the spec but does not interpret it (see CheckpointSpec);
-	// callers install the journal through WithResume.
+	// jobs crash-safely and to resume across runs. The fleet carries the
+	// spec but does not interpret it (see CheckpointSpec); callers
+	// install the journal through WithResume.
 	Checkpoint *CheckpointSpec
 	// Timeline, if set, records per-worker phase intervals (build, the
 	// pipeline phases, persist, idle) for the scaling report and the
 	// /timeline endpoint. Nil disables recording at zero cost; attaching
 	// one never changes campaign results.
 	Timeline *obs.Timeline
+}
+
+// CheckpointSpec asks the campaign layer to journal completed jobs
+// crash-safely and to resume from an existing journal. The fleet itself
+// treats the spec as data — internal/harness interprets it around the
+// fleet via internal/checkpoint (the fleet cannot, because only the
+// caller knows how to serialise its result type T).
+type CheckpointSpec struct {
+	// Dir is the checkpoint directory holding one journal per campaign.
+	// Empty disables checkpointing.
+	Dir string
+	// Resume permits continuing an existing journal; without it an
+	// existing journal is an error (refusing to double-run a campaign
+	// by accident).
+	Resume bool
 }
 
 func (c Config) withDefaults() Config {

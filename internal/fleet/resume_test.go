@@ -10,59 +10,6 @@ import (
 	"zcover/internal/testbed"
 )
 
-func TestParseShard(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    fleet.Shard
-		wantErr bool
-	}{
-		{"", fleet.Shard{}, false},
-		{"1/1", fleet.Shard{}, false}, // 1/1 collapses to unsharded
-		{"1/3", fleet.Shard{Index: 1, Count: 3}, false},
-		{"3/3", fleet.Shard{Index: 3, Count: 3}, false},
-		{"0/3", fleet.Shard{}, true},
-		{"4/3", fleet.Shard{}, true},
-		{"2", fleet.Shard{}, true},
-		{"a/b", fleet.Shard{}, true},
-		{"2/0", fleet.Shard{}, true},
-	}
-	for _, c := range cases {
-		got, err := fleet.ParseShard(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseShard(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseShard(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-	}
-}
-
-// TestShardPartition: every job index belongs to exactly one of the n
-// shards, and the zero Shard owns everything.
-func TestShardPartition(t *testing.T) {
-	const total, n = 11, 3
-	owned := make([]int, total)
-	for i := 1; i <= n; i++ {
-		s := fleet.Shard{Index: i, Count: n}
-		for _, idx := range s.Indices(total) {
-			owned[idx]++
-		}
-	}
-	for idx, c := range owned {
-		if c != 1 {
-			t.Errorf("job %d owned by %d shards, want exactly 1", idx, c)
-		}
-	}
-	var zero fleet.Shard
-	if got := zero.Indices(4); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Errorf("zero shard owns %v, want all", got)
-	}
-	if zero.String() != "" || (fleet.Shard{Index: 2, Count: 3}).String() != "2/3" {
-		t.Error("Shard.String mismatch")
-	}
-}
-
 // TestWithResumeServesCachedJobs: cached jobs must not execute (no
 // testbed build, no runner call), must be marked Cached, and must not be
 // re-persisted; fresh jobs must execute and persist exactly once.

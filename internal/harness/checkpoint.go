@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,17 +18,17 @@ import (
 )
 
 // This file is the checkpoint half of the campaign layer: it serialises
-// FleetOutcome values into internal/checkpoint journals, resumes and
-// shards campaign execution around the fleet, and merges shard journals
-// back into complete result sets.
+// FleetOutcome values into internal/checkpoint journals and resumes
+// campaign execution around the fleet. The coordinator (coord.go) writes
+// the same journal format, so a coordinated campaign's journal resumes
+// here too.
 //
 // The determinism contract: every job is fully determined by its spec
 // (device, strategy, seed, budget, chaos profile/seed), so an outcome
 // replayed from a journal is byte-identical to re-executing the job.
 // Tables and bug logs rendered from any mix of cached and fresh
 // outcomes therefore match an uninterrupted run exactly — the
-// kill-anywhere/resume and split-anywhere/merge invariants pinned in
-// checkpoint_test.go.
+// kill-anywhere/resume invariant pinned in checkpoint_test.go.
 
 // discoveryRecord is the serialised form of discover.Result. Classes are
 // stored as IDs and resolved back against the embedded specification on
@@ -150,28 +149,6 @@ func DecodeOutcome(raw json.RawMessage) (FleetOutcome, error) {
 	return out, nil
 }
 
-// ShardDone reports a sharded campaign invocation that completed its
-// subset and journaled it: there is no table to render until the other
-// shards' journals are merged. Drivers return it through the error path;
-// cmd/experiments recognises it and prints the note instead of failing.
-type ShardDone struct {
-	// Campaign names the experiment.
-	Campaign string
-	// Shard is the subset this invocation ran.
-	Shard fleet.Shard
-	// JobsRun and JobsCached split the shard's jobs by how they were
-	// satisfied; JobsTotal is the full unsharded campaign size.
-	JobsRun, JobsCached, JobsTotal int
-	// Dir is the checkpoint directory holding the journal.
-	Dir string
-}
-
-// Error implements error.
-func (e *ShardDone) Error() string {
-	return fmt.Sprintf("harness: %s shard %s complete: %d jobs run, %d resumed from journal (%d of %d campaign jobs); merge all shards with -merge to render",
-		e.Campaign, e.Shard, e.JobsRun, e.JobsCached, e.JobsRun+e.JobsCached, e.JobsTotal)
-}
-
 // campaignSpec is what SpecHash fingerprints: the experiment name plus
 // the complete job list. Any drift — a seed, a budget, a chaos profile,
 // job order — changes the hash and refuses stale journals.
@@ -215,28 +192,16 @@ func writeBugLog(outs []FleetOutcome) error {
 }
 
 // runCheckpointed is runCampaigns with a checkpoint spec: it resumes
-// completed jobs from the shard's journal, executes (and journals) the
-// rest, and — when sharding — stops after its subset with a ShardDone.
+// completed jobs from the campaign's journal and executes (and journals)
+// the rest.
 func runCheckpointed(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOutcome, error) {
 	spec := *cfg.Checkpoint
 	hash, err := checkpoint.SpecHash(campaignSpec{Campaign: name, Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}
-	if spec.Merge {
-		return mergeCampaign(name, jobs, spec.Dir, hash)
-	}
-
-	shard := spec.Shard
-	shardIdx, shardCnt := 1, 1
-	if shard.Enabled() {
-		shardIdx, shardCnt = shard.Index, shard.Count
-	}
-	path := checkpoint.JournalPath(spec.Dir, name, shardIdx, shardCnt)
-	manifest := checkpoint.Manifest{
-		Campaign: name, SpecHash: hash, TotalJobs: len(jobs),
-		ShardIndex: shardIdx, ShardCount: shardCnt,
-	}
+	path := checkpoint.JournalPath(spec.Dir, name)
+	manifest := checkpoint.Manifest{Campaign: name, SpecHash: hash, TotalJobs: len(jobs)}
 
 	var journal *checkpoint.Journal
 	cached := make(map[int]FleetOutcome)
@@ -278,44 +243,26 @@ func runCheckpointed(name string, jobs []fleet.Job, cfg fleet.Config) ([]FleetOu
 	}
 	defer journal.Close()
 
-	owned := shard.Indices(len(jobs))
-	subJobs := make([]fleet.Job, len(owned))
-	for k, i := range owned {
-		subJobs[k] = jobs[i]
-	}
-
-	f := fleet.New(subJobs, RunFleetJob, cfg).WithResume(
-		func(k int, job fleet.Job) (FleetOutcome, bool) {
-			out, ok := cached[owned[k]]
+	f := fleet.New(jobs, RunFleetJob, cfg).WithResume(
+		func(i int, job fleet.Job) (FleetOutcome, bool) {
+			out, ok := cached[i]
 			if ok {
 				checkpoint.NoteResumed()
 			}
 			return out, ok
 		},
-		func(k int, job fleet.Job, res fleet.Result[FleetOutcome]) error {
+		func(i int, job fleet.Job, res fleet.Result[FleetOutcome]) error {
 			raw, err := EncodeOutcome(res.Value)
 			if err != nil {
 				return err
 			}
 			return journal.Append(checkpoint.JobRecord{
-				Index: owned[k], Label: job.Label(), Attempts: res.Attempts, Body: raw,
+				Index: i, Label: job.Label(), Attempts: res.Attempts, Body: raw,
 			})
 		})
 	results := f.Run()
 	if err := fleet.FirstError(results); err != nil {
 		return nil, err
-	}
-	if shard.Enabled() {
-		ran := 0
-		for _, r := range results {
-			if !r.Cached {
-				ran++
-			}
-		}
-		return nil, &ShardDone{
-			Campaign: name, Shard: shard, Dir: spec.Dir,
-			JobsRun: ran, JobsCached: len(results) - ran, JobsTotal: len(jobs),
-		}
 	}
 	outs := make([]FleetOutcome, len(results))
 	for i := range results {
@@ -349,10 +296,8 @@ func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Te
 		return nil, false, err
 	}
 	name := "zcover-" + key.Target
-	path := checkpoint.JournalPath(dir, name, 1, 1)
-	manifest := checkpoint.Manifest{
-		Campaign: name, SpecHash: hash, TotalJobs: 1, ShardIndex: 1, ShardCount: 1,
-	}
+	path := checkpoint.JournalPath(dir, name)
+	manifest := checkpoint.Manifest{Campaign: name, SpecHash: hash, TotalJobs: 1}
 	var journal *checkpoint.Journal
 	if _, statErr := os.Stat(path); statErr == nil {
 		if !resume {
@@ -404,8 +349,8 @@ func RunZCoverResumable(dir string, resume bool, key CampaignKey, tb *testbed.Te
 	return c, false, nil
 }
 
-// validateManifest refuses journals written for a different campaign,
-// job list, or shard assignment.
+// validateManifest refuses journals written for a different campaign or
+// job list, and journals that cover only a shard of one.
 func validateManifest(got, want checkpoint.Manifest, path string) error {
 	switch {
 	case got.Campaign != want.Campaign:
@@ -414,67 +359,8 @@ func validateManifest(got, want checkpoint.Manifest, path string) error {
 		return fmt.Errorf("harness: %s was written for a different job list (spec %s, this run %s) — seeds, budgets, or profiles changed", path, got.SpecHash, want.SpecHash)
 	case got.TotalJobs != want.TotalJobs:
 		return fmt.Errorf("harness: %s covers %d jobs, this run has %d", path, got.TotalJobs, want.TotalJobs)
-	case got.ShardIndex != want.ShardIndex || got.ShardCount != want.ShardCount:
-		return fmt.Errorf("harness: %s is shard %d/%d, this run is %d/%d", path, got.ShardIndex, got.ShardCount, want.ShardIndex, want.ShardCount)
+	case got.ShardIndex != 1 || got.ShardCount != 1:
+		return fmt.Errorf("harness: %s is shard %d/%d of a split campaign; only whole-campaign (1/1) journals resume", path, got.ShardIndex, got.ShardCount)
 	}
 	return nil
-}
-
-// mergeCampaign renders a campaign purely from the shard journals in
-// dir: every job of the full list must be present in exactly one (or
-// byte-identically in several) journal, nothing executes.
-func mergeCampaign(name string, jobs []fleet.Job, dir, hash string) ([]FleetOutcome, error) {
-	paths, err := checkpoint.ListJournals(dir, name)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("harness: no %s journals in %s to merge", name, dir)
-	}
-	merged := make(map[int]checkpoint.JobRecord)
-	for _, path := range paths {
-		rep, err := checkpoint.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		m := rep.Manifest
-		if m.Campaign != name || m.SpecHash != hash || m.TotalJobs != len(jobs) {
-			return nil, fmt.Errorf("harness: %s does not belong to this %s campaign (spec %s, want %s)",
-				path, name, m.SpecHash, hash)
-		}
-		recs, err := rep.ByIndex()
-		if err != nil {
-			return nil, err
-		}
-		for idx, rec := range recs {
-			if prev, ok := merged[idx]; ok {
-				if string(prev.Body) != string(rec.Body) {
-					return nil, fmt.Errorf("harness: job %d (%s) has conflicting outcomes across shard journals", idx, rec.Label)
-				}
-				continue
-			}
-			merged[idx] = rec
-		}
-	}
-	var missing []string
-	for i, job := range jobs {
-		if _, ok := merged[i]; !ok {
-			missing = append(missing, job.Label())
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		return nil, fmt.Errorf("harness: merge incomplete: %d of %d jobs missing from journals in %s (first missing: %s) — run the remaining shards first",
-			len(missing), len(jobs), dir, missing[0])
-	}
-	outs := make([]FleetOutcome, len(jobs))
-	for i := range jobs {
-		out, err := DecodeOutcome(merged[i].Body)
-		if err != nil {
-			return nil, fmt.Errorf("harness: job %d (%s): %w", i, merged[i].Label, err)
-		}
-		checkpoint.NoteResumed()
-		outs[i] = out
-	}
-	return outs, nil
 }

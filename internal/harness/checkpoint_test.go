@@ -81,7 +81,7 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(checkpoint.JournalPath(full, "ckpt", 1, 1))
+	raw, err := os.ReadFile(checkpoint.JournalPath(full, "ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 			prefix += `{"v":1,"type":"job","seq":` + fmt.Sprint(k+1) + `,"bo`
 		}
 		dir := t.TempDir()
-		path := checkpoint.JournalPath(dir, "ckpt", 1, 1)
+		path := checkpoint.JournalPath(dir, "ckpt")
 		if err := os.WriteFile(path, []byte(prefix), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -114,53 +114,6 @@ func TestCheckpointResumeAtEveryJobBoundary(t *testing.T) {
 		if log != wantLog {
 			t.Errorf("resume after %d jobs: bug log differs from uninterrupted run", k)
 		}
-	}
-}
-
-// TestShardMergeEqualsSingleRun: N shards journaled independently and
-// merged must equal the 1-shard run byte-for-byte.
-func TestShardMergeEqualsSingleRun(t *testing.T) {
-	jobs := ckptJobs()
-	wantOuts, wantLog, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderOutcomes(t, wantOuts)
-
-	const n = 3
-	dir := t.TempDir()
-	for i := 1; i <= n; i++ {
-		_, _, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{
-			Workers: 1,
-			Checkpoint: &fleet.CheckpointSpec{
-				Dir: dir, Shard: fleet.Shard{Index: i, Count: n},
-			},
-		})
-		sd, ok := err.(*ShardDone)
-		if !ok {
-			t.Fatalf("shard %d/%d: got %v, want *ShardDone", i, n, err)
-		}
-		if sd.JobsTotal != len(jobs) || sd.JobsRun != len(fleet.Shard{Index: i, Count: n}.Indices(len(jobs))) {
-			t.Errorf("shard %d/%d: %+v", i, n, sd)
-		}
-		// A sharded invocation has no complete result set, so it must not
-		// emit a partial bug log.
-		if _, log, _ := runWithBugLog(t, "noop", nil, fleet.Config{Workers: 1}); log != "" {
-			t.Errorf("shard %d/%d leaked a partial bug log", i, n)
-		}
-	}
-
-	outs, log, err := runWithBugLog(t, "ckpt", jobs, fleet.Config{
-		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Merge: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderOutcomes(t, outs); got != want {
-		t.Error("merged shards differ from the single-shard run")
-	}
-	if log != wantLog {
-		t.Error("merged bug log differs from the single-shard run")
 	}
 }
 
@@ -208,7 +161,7 @@ func TestResumeReportsUndecodableRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	j, err := checkpoint.Create(checkpoint.JournalPath(dir, "x", 1, 1), checkpoint.Manifest{
+	j, err := checkpoint.Create(checkpoint.JournalPath(dir, "x"), checkpoint.Manifest{
 		Campaign: "x", SpecHash: hash, TotalJobs: 1, ShardIndex: 1, ShardCount: 1,
 	})
 	if err != nil {
@@ -228,26 +181,28 @@ func TestResumeReportsUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestMergeMissingShardFails: merging with a shard's journal absent must
-// name the gap instead of rendering a partial table.
-func TestMergeMissingShardFails(t *testing.T) {
-	jobs := ckptJobs()
-	dir := t.TempDir()
-	if _, err := runCampaigns("ckpt", jobs, fleet.Config{
-		Workers: 1,
-		Checkpoint: &fleet.CheckpointSpec{
-			Dir: dir, Shard: fleet.Shard{Index: 1, Count: 2},
-		},
-	}); err == nil {
-		t.Fatal("sharded run returned no ShardDone")
-	} else if _, ok := err.(*ShardDone); !ok {
+// TestResumeRejectsShardJournal: a journal whose manifest covers only a
+// slice of the job list cannot complete the campaign, so resume refuses
+// it instead of re-running the jobs it lacks under its name.
+func TestResumeRejectsShardJournal(t *testing.T) {
+	jobs := []fleet.Job{{Name: "j", Device: "D1", Baseline: true, Seed: 1, Budget: time.Second}}
+	hash, err := checkpoint.SpecHash(campaignSpec{Campaign: "x", Jobs: jobs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := runCampaigns("ckpt", jobs, fleet.Config{
-		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Merge: true},
+	dir := t.TempDir()
+	j, err := checkpoint.Create(checkpoint.JournalPath(dir, "x"), checkpoint.Manifest{
+		Campaign: "x", SpecHash: hash, TotalJobs: 1, ShardIndex: 2, ShardCount: 3,
 	})
-	if err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("incomplete merge accepted: %v", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, err = runCampaigns("x", jobs, fleet.Config{
+		Workers: 1, Checkpoint: &fleet.CheckpointSpec{Dir: dir, Resume: true},
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 2/3") {
+		t.Fatalf("shard journal accepted: %v", err)
 	}
 }
 

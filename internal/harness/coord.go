@@ -48,16 +48,15 @@ func smokeJobs(budget time.Duration) []fleet.Job {
 
 // CampaignSpecHash fingerprints a campaign exactly as the checkpoint
 // layer does (checkpoint.SpecHash over the name plus the complete job
-// list), so coordinator journals, shard journals, and local checkpoint
-// journals of the same sweep all carry — and cross-validate — the same
-// hash.
+// list), so coordinator journals and local checkpoint journals of the
+// same sweep carry — and cross-validate — the same hash.
 func CampaignSpecHash(name string, jobs []fleet.Job) (string, error) {
 	return checkpoint.SpecHash(campaignSpec{Campaign: name, Jobs: jobs})
 }
 
 // DecodeRecords decodes journal records (coordinator uploads, in job
-// order) back into campaign outcomes. Every job must be present — the
-// same full-coverage rule the shard merge enforces.
+// order) back into campaign outcomes. Every job must be present: a table
+// never renders from a partial campaign.
 func DecodeRecords(recs []checkpoint.JobRecord, total int) ([]FleetOutcome, error) {
 	if len(recs) != total {
 		return nil, fmt.Errorf("harness: %d records for %d jobs", len(recs), total)

@@ -14,6 +14,7 @@ import (
 
 	"zcover/internal/coord"
 	"zcover/internal/fleet"
+	"zcover/internal/telemetry"
 )
 
 // smokeBaseline runs the smoke campaign on the classic single-machine
@@ -219,6 +220,44 @@ func TestCoordinatedCampaignSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	if gotLog != wantLog {
 		t.Errorf("bug log differs after coordinator restart:\n--- want ---\n%s--- got ---\n%s", wantLog, gotLog)
+	}
+}
+
+// TestCoordinatorReplaysCompleteJournal: a coordinator resumed on a
+// finished campaign's journal renders the single-machine table and bug
+// log from the journal alone — no worker, no lease, nothing executes.
+// This is how a split campaign is reassembled and re-rendered.
+func TestCoordinatorReplaysCompleteJournal(t *testing.T) {
+	wantTable, wantLog := smokeBaseline(t)
+	dir := t.TempDir()
+	c1, srv1 := newSmokeCoordinator(t, dir, false, 0)
+	if _, err := coord.RunWorker(context.Background(), coord.WorkerConfig{
+		Coordinator: srv1.URL, ID: "w0", Runner: LeaseRunner(fleet.Config{}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	renderCoordinated(t, c1)
+	srv1.Close()
+	c1.Close()
+
+	leases := telemetry.Default().Counter("coord_leases_issued_total")
+	leasesBefore := leases.Load()
+	c2, srv2 := newSmokeCoordinator(t, dir, true, 0)
+	defer c2.Close()
+	defer srv2.Close()
+	gotTable, gotLog := renderCoordinated(t, c2)
+	st := c2.Status()
+	if st.Done != st.TotalJobs || st.Leased != 0 || len(st.Workers) != 0 {
+		t.Errorf("replayed coordinator status = %+v, want every job done with no workers or leases", st)
+	}
+	if n := leases.Load() - leasesBefore; n != 0 {
+		t.Errorf("replay granted %d leases", n)
+	}
+	if gotTable != wantTable {
+		t.Errorf("replayed table differs from single-machine run:\n--- want ---\n%s--- got ---\n%s", wantTable, gotTable)
+	}
+	if gotLog != wantLog {
+		t.Errorf("replayed bug log differs from single-machine run:\n--- want ---\n%s--- got ---\n%s", wantLog, gotLog)
 	}
 }
 
