@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"zcover/internal/obs"
 )
 
 func TestRunCheapExperiments(t *testing.T) {
@@ -96,28 +98,62 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestScalingCLI drives -run scaling end to end at a tiny budget: the
-// report file must gate cleanly against itself, and the printed table must
-// carry the ranked bottleneck section.
+// TestScalingCLI drives -run scaling end to end at a tiny budget and
+// checks the CLI wiring, not the host: -scaling-out writes a report that
+// LoadScalingReport reads back, and -scaling-baseline gates against a
+// baseline whose top-point efficiency the test sets — 0.01 must pass and
+// 100 must fail as a regression. A 0.15 s sweep is too short to tell a
+// real efficiency drop from scheduler noise, so the gate is never asked
+// to compare two measured sweeps.
 func TestScalingCLI(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "scaling.json")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "scaling.json")
+	sweep := []string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2"}
 	printed := captureStdout(t, func() error {
-		return run([]string{"-run", "scaling", "-fuzz", "30m",
-			"-scaling-workers", "1,2", "-scaling-out", out, "-git-sha", "test"})
+		return run(append(sweep, "-scaling-out", out, "-git-sha", "test"))
 	})
 	for _, want := range []string{"Fleet scaling", "Ranked serialization sources"} {
 		if !strings.Contains(printed, want) {
 			t.Errorf("scaling output missing %q:\n%s", want, printed)
 		}
 	}
-	// Re-run gating against the report just written: same workload, same
-	// host, so efficiency cannot have regressed 10%.
+	rep, err := obs.LoadScalingReport(out)
+	if err != nil {
+		t.Fatalf("reading back -scaling-out: %v", err)
+	}
+	if len(rep.Points) == 0 || rep.Host.GitSHA != "test" {
+		t.Fatalf("-scaling-out report: %d points, git sha %q", len(rep.Points), rep.Host.GitSHA)
+	}
+
+	// baseline writes rep with every point's efficiency set to eff, so the
+	// top point CheckRegression compares against carries it too.
+	baseline := func(name string, eff float64) string {
+		b := *rep
+		b.Points = append([]obs.ScalingPoint(nil), rep.Points...)
+		for i := range b.Points {
+			b.Points[i].Efficiency = eff
+		}
+		path := filepath.Join(dir, name)
+		if err := b.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	low := baseline("low.json", 0.01)
 	gated := captureStdout(t, func() error {
-		return run([]string{"-run", "scaling", "-fuzz", "30m",
-			"-scaling-workers", "1,2", "-scaling-baseline", out})
+		return run(append(sweep, "-scaling-baseline", low))
 	})
 	if !strings.Contains(gated, "scaling gate: efficiency within 10%") {
-		t.Errorf("no gate confirmation in output:\n%s", gated)
+		t.Errorf("no gate confirmation against a 0.01-efficiency baseline:\n%s", gated)
+	}
+	high := baseline("high.json", 100)
+	var gateErr error
+	captureStdout(t, func() error {
+		gateErr = run(append(sweep, "-scaling-baseline", high))
+		return nil
+	})
+	if gateErr == nil || !strings.Contains(gateErr.Error(), "regressed") {
+		t.Errorf("gate against a 100-efficiency baseline returned %v, want a regression error", gateErr)
 	}
 }
 

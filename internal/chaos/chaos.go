@@ -11,21 +11,19 @@
 // count or of which unrelated transceivers share the medium, preserving
 // the repository's tier-1 determinism gate.
 //
-// # Concurrency and pooling
+// # Ownership and buffers
 //
-// An Injector is safe for concurrent use (one mutex guards the per-link
-// RNG streams and fault counters), but like the medium it attaches to it
-// is normally driven by the single goroutine running one campaign's
-// simulation; parallel fleet campaigns each build their own injector.
+// An Injector takes no lock and is not safe for concurrent use: like the
+// medium it attaches to, it belongs to the one goroutine driving its
+// testbed, and parallel fleet campaigns each build their own injector.
 // The interceptor hook receives a private copy of each frame (per the
 // radio package's ownership contract) and may mutate it in place — the
-// corruption fault does exactly that — without ever touching pooled or
+// corruption fault does exactly that — without ever touching recycled or
 // transmitter-owned buffers. Stats returns a snapshot by value.
 package chaos
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"math/rand"
@@ -78,13 +76,12 @@ type linkState struct {
 }
 
 // Injector applies a Profile to every frame crossing the medium. Create
-// with New, wire with Attach. Safe for concurrent use: the interceptor is
-// called from whichever goroutine is driving the simulation.
+// with New, wire with Attach. The interceptor runs on the goroutine driving
+// the medium's testbed, which owns the injector too.
 type Injector struct {
 	profile Profile
 	seed    int64
 
-	mu        sync.Mutex
 	clock     *vtime.SimClock
 	lane      telemetry.Lane // the medium's telemetry lane, set by Attach
 	epoch     time.Time
@@ -111,28 +108,20 @@ func (i *Injector) Profile() Profile { return i.profile }
 // Attach installs the injector on the medium as its frame interceptor.
 // Partition schedules are anchored at the medium's current simulated time.
 func (i *Injector) Attach(m *radio.Medium) {
-	i.mu.Lock()
 	i.clock = m.Clock()
 	i.lane = m.Lane()
 	i.epoch = i.clock.Now()
-	i.mu.Unlock()
 	m.SetInterceptor(i.Intercept)
 }
 
 // Stats returns a snapshot of the injector's fault counters.
-func (i *Injector) Stats() Stats {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.stats
-}
+func (i *Injector) Stats() Stats { return i.stats }
 
 // ImpairedSince reports whether the injector has applied any fault at or
 // after the given simulated instant. The fuzz oracle uses it to downgrade
 // findings whose "silence" window overlaps injected faults from confirmed
 // to suspect.
 func (i *Injector) ImpairedSince(t time.Time) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	return i.haveFault && !i.lastFault.Before(t)
 }
 
@@ -149,8 +138,7 @@ func (i *Injector) link(from, to string) *linkState {
 	return st
 }
 
-// noteFault records the simulated instant of a fault decision (callers
-// hold i.mu).
+// noteFault records the simulated instant of a fault decision.
 func (i *Injector) noteFault(now time.Time) {
 	if !i.haveFault || now.After(i.lastFault) {
 		i.lastFault = now
@@ -164,8 +152,6 @@ func (i *Injector) noteFault(now time.Time) {
 // duplication — and each decision draws from the link's own stream, so
 // the sequence is reproducible per link whatever else is on the air.
 func (i *Injector) Intercept(from, to string, raw []byte) []radio.Delivery {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	var now time.Time
 	if i.clock != nil {
 		now = i.clock.Now()

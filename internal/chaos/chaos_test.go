@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -232,62 +231,6 @@ func TestProfileEnabled(t *testing.T) {
 	for _, name := range []string{"burst", "noise", "jitter", "partition", "lossy", "stress"} {
 		if !builtins[name].Enabled() {
 			t.Errorf("builtin %q reports disabled", name)
-		}
-	}
-}
-
-// TestInjectorConcurrentHammer drives one injector from many goroutines
-// under -race: concurrent transmissions on distinct links plus Stats and
-// ImpairedSince readers.
-func TestInjectorConcurrentHammer(t *testing.T) {
-	clock := vtime.NewSimClock()
-	m := radio.NewMedium(clock)
-	rx := m.Attach("rx", radio.RegionEU)
-	var rmu sync.Mutex
-	var frames [][]byte
-	rx.SetReceiver(func(c radio.Capture) {
-		rmu.Lock()
-		frames = append(frames, c.Raw)
-		rmu.Unlock()
-	})
-	inj := New(builtins["stress"], 3)
-	inj.Attach(m)
-
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			trx := m.Attach(fmt.Sprintf("w%d", w), radio.RegionEU)
-			for i := 0; i < 100; i++ {
-				_ = trx.Transmit([]byte{byte(w), byte(i), 0x55, 0xAA})
-				inj.Stats()
-				inj.ImpairedSince(clock.Now())
-			}
-			trx.Detach()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case <-done:
-			clock.RunUntilIdle()
-			if st := inj.Stats(); st.Deliveries == 0 {
-				t.Fatal("injector saw no deliveries")
-			}
-			rmu.Lock()
-			defer rmu.Unlock()
-			for _, f := range frames {
-				if len(f) != 4 {
-					t.Fatalf("frame length changed in flight: %x", f)
-				}
-			}
-			return
-		default:
-			clock.Advance(time.Millisecond)
 		}
 	}
 }

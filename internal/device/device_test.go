@@ -107,6 +107,59 @@ func TestNodeSendsMACAck(t *testing.T) {
 	}
 }
 
+// TestHandlerReplyLeavesOuterFrameIntact drives the MAC receive path
+// reentrantly: the hub's Handler replies from inside the callback, and the
+// reply's synchronous delivery makes the peer decode it and MAC-ack back
+// to the hub. Every nested level pops its own buffer and frame from the
+// medium's freelist, so the frame the hub's Handler holds — whose payload
+// aliases the peer's recycled encode buffer — must read the same after
+// the reply returns, and the peer must see the reply intact.
+func TestHandlerReplyLeavesOuterFrameIntact(t *testing.T) {
+	m, hub := newTestbed(t)
+	peer := NewNode(Config{Medium: m, Region: radio.RegionUS, Home: testHome, ID: 0x02, Name: "peer"})
+	request := []byte{0x25, 0x02}
+	reply := []byte{0x25, 0x03, 0xFF}
+
+	var replies [][]byte
+	peer.Handler = func(f *protocol.Frame) { replies = append(replies, append([]byte(nil), f.Payload...)) }
+	peerAcks, hubAcks := 0, 0
+	peer.OnAck = func(*protocol.Frame) { peerAcks++ }
+	hub.OnAck = func(*protocol.Frame) { hubAcks++ }
+
+	calls := 0
+	hub.Handler = func(f *protocol.Frame) {
+		calls++
+		want, wantPayload := *f, append([]byte(nil), f.Payload...)
+		if err := hub.Send(0x02, reply); err != nil {
+			t.Fatal(err)
+		}
+		if f.Src != want.Src || f.Dst != want.Dst || f.Home != want.Home || f.Control != want.Control ||
+			!bytes.Equal(f.Payload, wantPayload) {
+			t.Errorf("outer frame changed by the nested reply: %+v %x, was %+v %x", *f, f.Payload, want, wantPayload)
+		}
+		if !bytes.Equal(f.Payload, request) {
+			t.Errorf("outer payload = %x, want %x", f.Payload, request)
+		}
+	}
+	// Two rounds, so the second runs entirely on recycled entries.
+	for round := 0; round < 2; round++ {
+		if err := peer.Send(0x01, request); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 2 || peerAcks != 2 || hubAcks != 2 {
+		t.Fatalf("calls=%d peerAcks=%d hubAcks=%d, want 2 each", calls, peerAcks, hubAcks)
+	}
+	for _, got := range replies {
+		if !bytes.Equal(got, reply) {
+			t.Errorf("peer received reply %x, want %x", got, reply)
+		}
+	}
+	if len(replies) != 2 {
+		t.Fatalf("peer received %d replies, want 2", len(replies))
+	}
+}
+
 func TestNodeGateSuppressesAckAndDispatch(t *testing.T) {
 	m, hub := newTestbed(t)
 	dispatched := 0

@@ -64,7 +64,7 @@ type Node struct {
 	learn bool
 
 	// Handler receives every application frame addressed to this node
-	// (or broadcast) after MAC validation. The frame is pool-backed and its
+	// (or broadcast) after MAC validation. The frame is recycled and its
 	// payload aliases the capture buffer: both are valid only for the
 	// duration of the call, so retaining either requires a copy.
 	Handler func(f *protocol.Frame)
@@ -165,14 +165,15 @@ func (n *Node) SendRouted(dst protocol.NodeID, repeaters []protocol.NodeID, apl 
 	return n.transmitFrame(f)
 }
 
-// transmitFrame encodes f into a pooled buffer, transmits it, and returns
-// the buffer to the pool. Delivery on the simulated medium is synchronous,
-// so the medium and every receiver are done with the bytes by the time
-// Transmit returns; only paths that retain the encoding for retransmission
-// (sendReliable) must encode into a private buffer instead.
+// transmitFrame encodes f into a buffer from the medium's freelist,
+// transmits it, and returns the buffer. Delivery on the simulated medium is
+// synchronous, so the medium and every receiver are done with the bytes by
+// the time Transmit returns; only paths that retain the encoding for
+// retransmission (sendReliable) must encode into a private buffer instead.
 func (n *Node) transmitFrame(f *protocol.Frame) error {
-	buf := protocol.GetBuf()
-	defer protocol.PutBuf(buf)
+	free := n.trx.Freelist()
+	buf := free.GetBuf()
+	defer free.PutBuf(buf)
 	raw, err := f.AppendEncode(*buf)
 	if err != nil {
 		return fmt.Errorf("device %s: %w", n.cfg.Name, err)
@@ -192,7 +193,7 @@ func (n *Node) Send(dst protocol.NodeID, payload []byte) error {
 		return n.transmitFrame(f)
 	}
 	// The retry chain retains raw across scheduled retransmissions, so it
-	// gets a private (unpooled) encoding.
+	// gets a private (unrecycled) encoding.
 	raw, err := f.Encode()
 	if err != nil {
 		return fmt.Errorf("device %s: %w", n.cfg.Name, err)
@@ -248,17 +249,19 @@ func (n *Node) SendAck(dst protocol.NodeID, seq byte) error {
 }
 
 // onCapture is the MAC receive path. The decoded frame comes from the
-// frame pool and is returned when dispatch finishes, so Handler/OnAck must
-// not retain the *Frame or its payload past the call (the payload aliases
-// the capture buffer, which itself is only valid during the callback).
-// Nested deliveries — a handler that transmits, triggering a synchronous
-// inbound ack — draw distinct frames from the pool, so reentrancy is safe.
+// medium's freelist and is returned when dispatch finishes, so
+// Handler/OnAck must not retain the *Frame or its payload past the call
+// (the payload aliases the capture buffer, which itself is only valid
+// during the callback). Nested deliveries — a handler that transmits,
+// triggering a synchronous inbound ack — pop distinct frames from the
+// LIFO freelist, so reentrancy is safe.
 func (n *Node) onCapture(c radio.Capture) {
 	if n.RawHook != nil && n.RawHook(c.Raw) {
 		return
 	}
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
+	free := n.trx.Freelist()
+	f := free.GetFrame()
+	defer free.PutFrame(f)
 	err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8)
 	protocol.CountDecode(n.Lane(), err)
 	if err != nil {

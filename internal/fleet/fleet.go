@@ -28,11 +28,11 @@
 // Run is safe to call from multiple goroutines on distinct Fleet values;
 // one Fleet runs one job slice at a time. Worker goroutines share nothing
 // campaign-visible: each attempt gets a fresh testbed, private SimClock,
-// medium, and oracle bus. What workers do share are the process-wide
-// object pools (protocol frame/buffer pools, security cipher-context
-// cache and crypto scratch pool) — all safe for concurrent use and
-// invisible to results, which is why tables render byte-identically for
-// any worker count. Progress counters are atomic telemetry gauges;
+// medium (with its frame freelist and telemetry lane), and oracle bus, and
+// only the worker's goroutine drives it. What workers do share are the
+// security package's cipher-context cache and crypto scratch pool — safe
+// for concurrent use and invisible to results, which is why tables render
+// byte-identically for any worker count. Progress counters are atomic telemetry gauges;
 // OnProgress callbacks run on worker goroutines and must be fast and
 // thread-safe.
 package fleet

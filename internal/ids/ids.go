@@ -216,11 +216,12 @@ func (m *Monitor) onCapture(c radio.Capture) {
 	if !ok || home != m.home {
 		return
 	}
-	// Pool-backed decode: the frame (and its payload, which aliases the
+	// Freelist-backed decode: the frame (and its payload, which aliases the
 	// capture buffer) is done with before this callback returns — learn and
 	// detect copy what they keep into the model maps.
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
+	free := m.trx.Freelist()
+	f := free.GetFrame()
+	defer free.PutFrame(f)
 	err := protocol.DecodeInto(f, c.Raw, protocol.ChecksumCS8)
 	protocol.CountDecode(m.trx.Lane(), err)
 	if err != nil {

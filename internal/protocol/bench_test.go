@@ -2,16 +2,17 @@ package protocol
 
 import "testing"
 
-// BenchmarkFrameCodec measures one encode + decode cycle on the pooled,
+// BenchmarkFrameCodec measures one encode + decode cycle on the recycled,
 // append-into-caller-buffer fast path — the exact shape the radio hot loop
-// uses (AppendEncode into a pooled buffer, DecodeInto a pooled frame).
+// uses (AppendEncode into a freelist buffer, DecodeInto a freelist frame).
 // The steady state is zero-alloc.
 func BenchmarkFrameCodec(b *testing.B) {
+	var fl Freelist
 	src := NewDataFrame(HomeID(0xC0DECAFE), 1, 2, []byte{0x25, 0x01, 0xFF})
-	buf := GetBuf()
-	defer PutBuf(buf)
-	f := GetFrame()
-	defer PutFrame(f)
+	buf := fl.GetBuf()
+	defer fl.PutBuf(buf)
+	f := fl.GetFrame()
+	defer fl.PutFrame(f)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -27,7 +28,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 }
 
 // BenchmarkFrameEncodeAlloc measures the plain allocating Encode for
-// comparison with the pooled path above.
+// comparison with the recycled path above.
 func BenchmarkFrameEncodeAlloc(b *testing.B) {
 	src := NewDataFrame(HomeID(0xC0DECAFE), 1, 2, []byte{0x25, 0x01, 0xFF})
 	b.ReportAllocs()

@@ -6,13 +6,14 @@ import (
 )
 
 // TestGetBufAppendEncodeRoundtrip pins the zero-alloc encode contract: a
-// pooled buffer holds the encoded frame, DecodeInto parses it back, and the
-// decoded fields match the source. This is the exact shape of the device
-// send path.
+// recycled buffer holds the encoded frame, DecodeInto parses it back into
+// a recycled frame, and the decoded fields match the source. This is the
+// exact shape of the device send path.
 func TestGetBufAppendEncodeRoundtrip(t *testing.T) {
+	var fl Freelist
 	src := NewDataFrame(HomeID(0xC0DECAFE), 5, 9, []byte{0x25, 0x01, 0xFF})
-	buf := GetBuf()
-	defer PutBuf(buf)
+	buf := fl.GetBuf()
+	defer fl.PutBuf(buf)
 	raw, err := src.AppendEncode(*buf)
 	if err != nil {
 		t.Fatal(err)
@@ -20,8 +21,8 @@ func TestGetBufAppendEncodeRoundtrip(t *testing.T) {
 	if len(*buf) != 0 {
 		t.Fatalf("AppendEncode must not store back into *buf, got len %d", len(*buf))
 	}
-	f := GetFrame()
-	defer PutFrame(f)
+	f := fl.GetFrame()
+	defer fl.PutFrame(f)
 	if err := DecodeInto(f, raw, ChecksumCS8); err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,15 @@ func TestGetBufAppendEncodeRoundtrip(t *testing.T) {
 // TestGetBufReturnsEmptyFullCapacity checks the Get contract: empty slice,
 // MaxFrameSize capacity, even after a previous user left bytes in it.
 func TestGetBufReturnsEmptyFullCapacity(t *testing.T) {
-	b := GetBuf()
+	var fl Freelist
+	b := fl.GetBuf()
 	*b = append(*b, 1, 2, 3)
-	PutBuf(b)
-	got := GetBuf()
-	defer PutBuf(got)
+	fl.PutBuf(b)
+	got := fl.GetBuf()
+	defer fl.PutBuf(got)
+	if got != b {
+		t.Fatal("GetBuf did not recycle the buffer just put back")
+	}
 	if len(*got) != 0 {
 		t.Fatalf("GetBuf returned non-empty slice (len %d)", len(*got))
 	}
@@ -50,32 +55,63 @@ func TestGetBufReturnsEmptyFullCapacity(t *testing.T) {
 }
 
 // TestPutBufRejectsShrunkBuffers: a buffer whose backing array was swapped
-// for something smaller than MaxFrameSize must not re-enter the pool, or a
-// later AppendEncode into it would allocate mid-hot-path.
+// for something smaller than MaxFrameSize must not re-enter the freelist,
+// or a later AppendEncode into it would allocate mid-hot-path.
 func TestPutBufRejectsShrunkBuffers(t *testing.T) {
+	var fl Freelist
 	small := make([]byte, 0, 4)
-	PutBuf(&small) // must be dropped, not pooled
+	fl.PutBuf(&small) // must be dropped, not recycled
 	for i := 0; i < 64; i++ {
-		b := GetBuf()
+		b := fl.GetBuf()
 		if cap(*b) < MaxFrameSize {
-			t.Fatalf("undersized buffer (cap %d) leaked into the pool", cap(*b))
+			t.Fatalf("undersized buffer (cap %d) leaked into the freelist", cap(*b))
 		}
-		PutBuf(b)
+		fl.PutBuf(b)
 	}
 }
 
-// TestPutFrameZeroes checks that pooled frames come back zeroed — a stale
-// Payload alias would pin a raw buffer and leak one user's bytes to the
-// next.
+// TestPutFrameZeroes checks that recycled frames come back zeroed, from
+// the process-wide pool and from a Freelist — a stale Payload alias would
+// pin a raw buffer and leak one user's bytes to the next.
 func TestPutFrameZeroes(t *testing.T) {
-	f := GetFrame()
-	f.Home = 0xDEAD
-	f.Payload = []byte{1, 2, 3}
-	PutFrame(f)
-	g := GetFrame()
-	defer PutFrame(g)
-	if g.Home != 0 || g.Payload != nil || g.Src != 0 || g.Dst != 0 {
-		t.Fatalf("pooled frame not zeroed: %+v", g)
+	var fl Freelist
+	for _, p := range []struct {
+		get func() *Frame
+		put func(*Frame)
+	}{{GetFrame, PutFrame}, {fl.GetFrame, fl.PutFrame}} {
+		f := p.get()
+		f.Home = 0xDEAD
+		f.Payload = []byte{1, 2, 3}
+		p.put(f)
+		if f.Home != 0 || f.Payload != nil {
+			t.Fatalf("released frame not zeroed: %+v", f)
+		}
+		g := p.get()
+		if g.Home != 0 || g.Payload != nil || g.Src != 0 || g.Dst != 0 {
+			t.Fatalf("recycled frame not zeroed: %+v", g)
+		}
+		p.put(g)
+	}
+}
+
+// TestFreelistIsLIFO pins what reentrant callers rely on: entries held at
+// once are distinct, and the most recently released one comes back first.
+func TestFreelistIsLIFO(t *testing.T) {
+	var fl Freelist
+	b1, b2 := fl.GetBuf(), fl.GetBuf()
+	f1, f2 := fl.GetFrame(), fl.GetFrame()
+	if b1 == b2 || &(*b1)[:1][0] == &(*b2)[:1][0] || f1 == f2 {
+		t.Fatal("entries held at once share storage")
+	}
+	fl.PutBuf(b1)
+	fl.PutBuf(b2)
+	fl.PutFrame(f1)
+	fl.PutFrame(f2)
+	if g1, g2 := fl.GetBuf(), fl.GetBuf(); g1 != b2 || g2 != b1 {
+		t.Fatal("buffers not recycled last-in first-out")
+	}
+	if g1, g2 := fl.GetFrame(), fl.GetFrame(); g1 != f2 || g2 != f1 {
+		t.Fatal("frames not recycled last-in first-out")
 	}
 }
 

@@ -111,9 +111,9 @@ func (f *Frame) Encode() ([]byte, error) {
 }
 
 // AppendEncode serialises the frame, appending the encoded bytes to dst and
-// returning the extended slice. With a dst of sufficient capacity (a pooled
-// GetBuf slice, or any buffer of MaxFrameSize bytes) the steady encode path
-// performs no allocation. On error dst is returned unchanged.
+// returning the extended slice. With a dst of sufficient capacity (a
+// Freelist.GetBuf slice, or any buffer of MaxFrameSize bytes) the steady
+// encode path performs no allocation. On error dst is returned unchanged.
 func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	mode := f.checksumOrDefault()
 	total := HeaderSize + len(f.Payload) + mode.trailerSize()

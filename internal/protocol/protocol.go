@@ -12,20 +12,20 @@
 // schemes exist in deployed networks: the legacy 8-bit XOR checksum (CS-8,
 // R1/R2 data rates) and CRC-16/CCITT (R3, 100 kbit/s). Both are implemented.
 //
-// # Concurrency and pooling
+// # Concurrency and recycling
 //
 // All package-level functions and Frame methods are safe for concurrent
 // use on distinct frames; a Frame itself is a plain struct with no internal
 // locking. The steady encode/decode path is allocation-free when callers
-// use the pooled variants: AppendEncode writes into a caller-supplied
-// buffer (GetBuf/PutBuf recycle MaxFrameSize buffers through a shared
-// sync.Pool) and DecodeInto parses into a caller-supplied Frame
-// (GetFrame/PutFrame). Both pools are safe for concurrent use across
-// parallel fleet campaigns. Ownership rule: a decoded Frame's Payload
-// aliases the raw buffer it was parsed from, so a buffer must not be
-// returned with PutBuf while any Frame, Capture, or log entry still
-// references its bytes, and PutFrame zeroes the frame to drop that alias.
-// Encode and Decode remain as allocating conveniences for cold paths.
+// recycle: AppendEncode writes into a caller-supplied buffer and
+// DecodeInto parses into a caller-supplied Frame. On the frame path both
+// come from a Freelist owned by the testbed's radio medium, which is not
+// safe for concurrent use; GetFrame/PutFrame recycle frames through a
+// process-wide pool for everyone else. Ownership rule: a decoded Frame's
+// Payload aliases the raw buffer it was parsed from, so a buffer must not
+// be put back while any Frame, Capture, or log entry still references its
+// bytes, and PutFrame zeroes the frame to drop that alias. Encode and
+// Decode remain as allocating conveniences for cold paths.
 package protocol
 
 import (

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,67 +142,5 @@ func TestInterceptorDropDuplicateDelay(t *testing.T) {
 	}
 	if d := got[0].At.Sub(start); d < 50*time.Millisecond {
 		t.Errorf("delayed delivery arrived after %v, want >= 50ms + airtime", d)
-	}
-}
-
-// TestInterceptorConcurrentHammer drives the interceptor pipeline from
-// many goroutines under -race: transmissions, interceptor rewrites with
-// delays and duplicates, and attach/detach churn all at once.
-func TestInterceptorConcurrentHammer(t *testing.T) {
-	clock := vtime.NewSimClock()
-	m := NewMedium(clock)
-	m.SetImpairments(0.1, 0.1, 7)
-	var intercepted int64
-	var imu sync.Mutex
-	m.SetInterceptor(func(from, to string, raw []byte) []Delivery {
-		imu.Lock()
-		intercepted++
-		n := intercepted
-		imu.Unlock()
-		switch n % 4 {
-		case 0:
-			return nil
-		case 1:
-			cp := append([]byte(nil), raw...)
-			cp[0] ^= 0x80
-			return []Delivery{{Raw: cp}}
-		case 2:
-			return []Delivery{{Raw: raw}, {Delay: time.Millisecond, Raw: raw}}
-		default:
-			return []Delivery{{Delay: 3 * time.Millisecond, Raw: raw}}
-		}
-	})
-	rx := m.Attach("rx", RegionEU)
-	rx.SetReceiver(func(Capture) {})
-
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			trx := m.Attach(fmt.Sprintf("w%d", w), RegionEU)
-			trx.SetReceiver(func(Capture) {})
-			for i := 0; i < 50; i++ {
-				_ = trx.Transmit([]byte{byte(w), byte(i), 0xAA})
-				trx.Stats()
-			}
-			trx.Detach()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case <-done:
-			clock.RunUntilIdle()
-			if intercepted == 0 {
-				t.Fatal("interceptor never invoked")
-			}
-			return
-		default:
-			clock.Advance(time.Millisecond)
-		}
 	}
 }

@@ -11,19 +11,23 @@
 // noise can be injected for robustness testing; both default to off so
 // campaigns are deterministic.
 //
-// # Concurrency and buffer ownership
+// # Ownership and buffer lifetimes
 //
-// Medium and Transceiver are safe for concurrent use; each campaign in a
-// fleet runs its own Medium, so cross-goroutine traffic never mixes (the
-// single-owner rule is written down in package testbed). Every Medium
-// takes its own telemetry lane at construction, and the per-frame counts
-// of everything on it go through that lane, so two campaigns never write
-// the same metric cache line. Frame
-// delivery is synchronous and zero-copy: the Capture handed to a receiver
-// callback aliases the transmitter's buffer (or a pooled scratch copy on
-// impaired paths) and is valid only for the duration of the callback.
-// Receiver callbacks must not mutate Capture.Raw and must copy it before
-// retaining it. The interceptor hook is the exception — it receives a
+// Medium and Transceiver are not safe for concurrent use and take no
+// locks: one goroutine drives a testbed (the rule is written down in
+// package testbed), and each campaign in a fleet runs its own Medium.
+// Everything per-frame is per-Medium: the telemetry lane every count goes
+// through, the stack of spare target lists, and the Freelist of frame
+// buffers and decoded frames that the medium, its nodes, the attacker
+// dongle and the IDS monitor recycle. Two campaigns on two goroutines
+// therefore share no per-frame state. Frame delivery is synchronous and zero-copy: the
+// Capture handed to a receiver callback aliases the transmitter's buffer
+// (or a recycled scratch copy on impaired paths) and is valid only for
+// the duration of the callback. Receiver callbacks must not mutate
+// Capture.Raw and must copy it before retaining it. A callback may
+// transmit (a MAC ack does): the nested transmission draws its own
+// buffers and target list, leaving the outer ones untouched. The
+// interceptor hook is the exception to the aliasing rule — it receives a
 // private copy it may mutate or retain, as documented on InterceptFunc.
 package radio
 
@@ -33,8 +37,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zcover/internal/protocol"
@@ -110,7 +112,7 @@ type Capture struct {
 	// Raw is the frame bytes as received. The slice is owned by the medium
 	// and valid only for the duration of the receiver callback: on the
 	// clean path it aliases the transmitter's buffer, and on impaired paths
-	// it aliases a pooled scratch copy. Receivers must not mutate it, and
+	// it aliases a recycled scratch copy. Receivers must not mutate it, and
 	// must copy it before retaining it past the callback (Sniffer and the
 	// attacker dongle both do).
 	Raw []byte
@@ -132,19 +134,25 @@ type Delivery struct {
 // (after the medium's own loss/noise impairments) and decides what the
 // receiver observes: return nil to drop the frame, one Delivery to pass or
 // rewrite it, or several to duplicate it. The input slice is a private
-// copy; the interceptor may mutate or retain it. Interceptors run outside
-// the medium lock and must be safe for concurrent use.
+// copy; the interceptor may mutate or retain it. Interceptors run on the
+// goroutine that drives the medium and may transmit themselves.
 type InterceptFunc func(from, to string, raw []byte) []Delivery
 
-// Medium is the shared simulated air. Construct with NewMedium. Medium is
-// safe for concurrent use, though the simulation driver is single-threaded.
+// Medium is the shared simulated air. Construct with NewMedium. A Medium
+// and everything attached to it belong to the one goroutine driving its
+// testbed; it is not safe for concurrent use.
 type Medium struct {
 	clock *vtime.SimClock
 	// lane is the telemetry lane every per-frame count of this medium's
 	// testbed goes through (see Lane).
 	lane telemetry.Lane
+	// free recycles frame buffers and decoded frames for everything on
+	// this medium (see Transceiver.Freelist).
+	free protocol.Freelist
+	// targets is a LIFO stack of spare per-transmission target lists; a
+	// transmission nested inside a delivery pops its own.
+	targets [][]*Transceiver
 
-	mu        sync.Mutex
 	nodes     []*Transceiver
 	lossP     float64
 	noiseP    float64
@@ -179,8 +187,6 @@ func (m *Medium) Lane() telemetry.Lane { return m.lane }
 // are independent of which other transceivers are attached and of target
 // iteration order.
 func (m *Medium) SetImpairments(lossP, noiseP float64, seed int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.lossP, m.noiseP = lossP, noiseP
 	m.impSeed = seed
 	m.streams = nil
@@ -189,13 +195,11 @@ func (m *Medium) SetImpairments(lossP, noiseP float64, seed int64) {
 // SetInterceptor installs a frame interceptor pipeline stage (nil removes
 // it). The chaos fault injector composes onto the medium through this hook.
 func (m *Medium) SetInterceptor(fn InterceptFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.intercept = fn
 }
 
 // stream returns the impairment RNG for the named receiver, creating it on
-// first use. Callers hold m.mu.
+// first use.
 func (m *Medium) stream(name string) *rand.Rand {
 	s, ok := m.streams[name]
 	if !ok {
@@ -223,8 +227,6 @@ func fnv64a(s string) uint64 {
 // assigned position are treated as always in range (back-compatible
 // default for sniffers and tests). Zero disables the model.
 func (m *Medium) SetRange(r float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.rangeLim = r
 }
 
@@ -233,52 +235,43 @@ func (m *Medium) SetRange(r float64) {
 // verdict. Nil detaches. The recorder is the post-mortem channel findings
 // dump alongside their log entries.
 func (m *Medium) SetFlightRecorder(rec *telemetry.FlightRecorder) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.recorder = rec
 }
 
 // TransmitCount reports how many frames have been put on the air in total.
-func (m *Medium) TransmitCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.txLog
-}
+func (m *Medium) TransmitCount() int { return m.txLog }
 
 // Attach adds a transceiver tuned to the given region. The name appears in
 // diagnostics only.
 func (m *Medium) Attach(name string, region Region) *Transceiver {
 	t := &Transceiver{medium: m, name: name, region: region}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.nodes = append(m.nodes, t)
 	return t
 }
-
-// targetPool recycles the per-transmission target list. Delivery is
-// synchronous, so the slice is done with by the time transmit returns and
-// can go straight back to the pool.
-var targetPool = sync.Pool{New: func() any { return new([]*Transceiver) }}
 
 // transmit delivers raw to all other transceivers in region.
 //
 // Delivery is synchronous and zero-copy on the clean path: receivers get a
 // Capture whose Raw aliases the transmitter's buffer (see Capture.Raw for
-// the ownership contract). Impaired copies are drawn from the frame buffer
-// pool and returned after the callback; only the interceptor path makes a
-// plain copy, because InterceptFunc is documented as free to mutate and
-// retain its input.
+// the ownership contract). Impaired copies are drawn from the medium's
+// freelist and returned after the callback; only the interceptor path
+// makes a plain copy, because InterceptFunc is documented as free to
+// mutate and retain its input. The target list comes off the medium's
+// stack too, so a receiver that transmits from its callback gets its own.
 func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	if len(raw) > protocol.MaxFrameSize {
 		mTooLong.IncLane(m.lane)
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(raw))
 	}
-	m.mu.Lock()
 	m.txLog++
-	targetsp := targetPool.Get().(*[]*Transceiver)
-	targets := (*targetsp)[:0]
+	var targets []*Transceiver
+	if n := len(m.targets); n > 0 {
+		targets = m.targets[n-1]
+		m.targets[n-1] = nil
+		m.targets = m.targets[:n-1]
+	}
 	for _, t := range m.nodes {
-		if t != from && t.region == from.region && !t.detached.Load() && m.inRange(from, t) {
+		if t != from && t.region == from.region && !t.detached && m.inRange(from, t) {
 			targets = append(targets, t)
 		}
 	}
@@ -310,7 +303,6 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 	}
 	intercept := m.intercept
 	recorder := m.recorder
-	m.mu.Unlock()
 
 	airtime := Airtime(len(raw))
 	mTxFrames.IncLane(m.lane)
@@ -328,25 +320,22 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 			corrupted++
 		}
 		if intercept == nil {
-			frame := raw
-			var pooled *[]byte
-			if corrupt {
-				// Corruption needs a private copy; borrow it from the
-				// frame pool and return it once the synchronous delivery
-				// is done.
-				pooled = protocol.GetBuf()
-				*pooled = append(*pooled, raw...)
-				(*pooled)[plans[i].noiseIdx] ^= plans[i].noiseBit
-				frame = *pooled
+			if !corrupt {
+				t.deliver(Capture{At: at, Raw: raw})
+				continue
 			}
-			t.deliver(Capture{At: at, Raw: frame})
-			if pooled != nil {
-				protocol.PutBuf(pooled)
-			}
+			// Corruption needs a private copy; borrow it from the
+			// freelist and return it once the synchronous delivery is
+			// done.
+			buf := m.free.GetBuf()
+			*buf = append(*buf, raw...)
+			(*buf)[plans[i].noiseIdx] ^= plans[i].noiseBit
+			t.deliver(Capture{At: at, Raw: *buf})
+			m.free.PutBuf(buf)
 			continue
 		}
 		// The interceptor may mutate or retain its input, so it gets a
-		// plain (unpooled) copy; corruption is applied directly to it.
+		// plain (unrecycled) copy; corruption is applied directly to it.
 		icopy := make([]byte, len(raw))
 		copy(icopy, raw)
 		if corrupt {
@@ -372,8 +361,8 @@ func (m *Medium) transmit(from *Transceiver, raw []byte) error {
 		}
 	}
 	nTargets := len(targets)
-	*targetsp = targets[:0]
-	targetPool.Put(targetsp)
+	clear(targets)
+	m.targets = append(m.targets, targets[:0])
 	if lost > 0 {
 		mLost.AddLane(m.lane, int64(lost))
 	}
@@ -413,7 +402,7 @@ func securityClassOf(raw []byte) telemetry.SecurityClass {
 	}
 }
 
-// inRange applies the propagation model (callers hold m.mu).
+// inRange applies the propagation model.
 func (m *Medium) inRange(a, b *Transceiver) bool {
 	if m.rangeLim <= 0 || !a.placed || !b.placed {
 		return true
@@ -423,22 +412,18 @@ func (m *Medium) inRange(a, b *Transceiver) bool {
 }
 
 // Transceiver is one radio endpoint: a device chipset, the attacker's
-// dongle, or a passive sniffer. It is safe for concurrent use: the counters
-// and the detach flag are atomics, so Stats, Transmit, Detach, and frame
-// delivery may race freely across goroutines (the fleet hammers exactly
-// that pattern); x/y/placed are guarded by the medium's lock.
+// dongle, or a passive sniffer. Like its Medium it belongs to the
+// goroutine driving the testbed and is not safe for concurrent use.
 type Transceiver struct {
 	medium   *Medium
 	name     string
 	region   Region
-	detached atomic.Bool
+	detached bool
 	x, y     float64
 	placed   bool
-
-	mu      sync.Mutex
-	handler func(Capture)
-	txCount atomic.Int64
-	rxCount atomic.Int64
+	handler  func(Capture)
+	txCount  int
+	rxCount  int
 }
 
 // Name reports the diagnostic name given at Attach.
@@ -450,53 +435,51 @@ func (t *Transceiver) Region() Region { return t.region }
 // Lane reports the telemetry lane of the transceiver's medium.
 func (t *Transceiver) Lane() telemetry.Lane { return t.medium.lane }
 
+// Freelist is the frame-buffer and frame-struct freelist of the
+// transceiver's medium. One medium is one testbed, so its nodes, dongle
+// and IDS monitor encode and decode through it without locks.
+func (t *Transceiver) Freelist() *protocol.Freelist { return &t.medium.free }
+
 // SetReceiver installs the frame-delivery callback. Passing nil silences
 // the transceiver (frames still count as received).
 func (t *Transceiver) SetReceiver(fn func(Capture)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.handler = fn
 }
 
 // Transmit puts a raw frame on the air.
 func (t *Transceiver) Transmit(raw []byte) error {
-	if t.detached.Load() {
+	if t.detached {
 		return ErrDetached
 	}
-	t.txCount.Add(1)
+	t.txCount++
 	return t.medium.transmit(t, raw)
 }
 
 // Detach removes the transceiver from the air; it no longer receives and
-// can no longer transmit. Safe to call from any goroutine, concurrently
-// with in-flight transmissions.
-func (t *Transceiver) Detach() { t.detached.Store(true) }
+// can no longer transmit. Detaching from a receiver callback mid-fan-out
+// stops delivery to it for the rest of that transmission.
+func (t *Transceiver) Detach() { t.detached = true }
 
 // Place assigns the transceiver a position (metres) for the geometric
 // propagation model. Unplaced transceivers are always in range.
 func (t *Transceiver) Place(x, y float64) {
-	t.medium.mu.Lock()
-	defer t.medium.mu.Unlock()
 	t.x, t.y, t.placed = x, y, true
 }
 
 // Stats reports frames transmitted and received by this transceiver.
 func (t *Transceiver) Stats() (tx, rx int) {
-	return int(t.txCount.Load()), int(t.rxCount.Load())
+	return t.txCount, t.rxCount
 }
 
 // deliver hands a capture to the installed handler. A transceiver detached
 // after target selection drops the frame instead of delivering late.
 func (t *Transceiver) deliver(c Capture) {
-	if t.detached.Load() {
+	if t.detached {
 		return
 	}
-	t.rxCount.Add(1)
+	t.rxCount++
 	mRxFrames.IncLane(t.medium.lane)
-	t.mu.Lock()
-	fn := t.handler
-	t.mu.Unlock()
-	if fn != nil {
-		fn(c)
+	if t.handler != nil {
+		t.handler(c)
 	}
 }

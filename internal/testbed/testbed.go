@@ -7,15 +7,16 @@
 // # Ownership
 //
 // One goroutine drives a testbed. Its SimClock, Medium, Transceivers,
-// Nodes, controller, dongle and fuzz engine are used only from the
-// goroutine running the campaign on it; a fleet worker builds a private
-// testbed per job and never hands it to another goroutine. Nothing in the
-// pipeline relies on those types being safe for concurrent use. They still
-// are — their mutexes stay, and TestTransceiverConcurrentHammer (radio)
-// and TestInjectorConcurrentHammer (chaos) pin that — but the rule is what
-// makes per-testbed state (the Medium's telemetry lane, pools, caches)
-// free of cross-worker traffic, and it is what a later change may rely on
-// to drop those mutexes.
+// Nodes, chaos injector, controller, dongle and fuzz engine are used only
+// from the goroutine running the campaign on it; a fleet worker builds a
+// private testbed per job and never hands it to another goroutine. The
+// per-frame code relies on that rule: the clock, medium, transceivers and
+// injector take no locks, and the medium's freelist of frame buffers,
+// decoded frames and target lists, like its telemetry lane, is private to
+// the testbed. Two testbeds on two goroutines share no per-frame state;
+// TestChaosTable5ByteIdenticalAcrossWorkers and
+// TestTelemetryCountsExactAcrossWorkers (harness) check that under -race.
+// A job that panics throws its testbed away, freelists included.
 package testbed
 
 import (

@@ -10,17 +10,17 @@
 // SystemClock; simulations and tests use SimClock, which only advances when
 // told to (directly or through its event queue).
 //
-// # Concurrency and pooling
+// # Ownership and pooling
 //
-// SimClock is internally locked and safe for concurrent use, but the
-// simulations in this repository deliberately drive each clock from a
-// single goroutine — determinism comes from the event queue's total order,
-// which concurrent Advance calls would destroy. Parallel fleet campaigns
-// therefore hold one private SimClock each and never share one. Event
+// A SimClock is not safe for concurrent use and takes no lock: the one
+// goroutine that drives its testbed owns it (the rule is written down in
+// package testbed). Determinism comes from the event queue's total order,
+// which concurrent Advance calls would destroy anyway, so parallel fleet
+// campaigns hold one private SimClock each and never share one. Event
 // scheduling is the simulator's busiest allocation site, so fired event
-// structs are recycled on a small per-clock freelist (guarded by the same
-// mutex, bounded so bursts cannot pin memory); callbacks passed to
-// Schedule must not assume identity of the event that carried them.
+// structs are recycled on a small per-clock freelist (bounded so bursts
+// cannot pin memory); callbacks passed to Schedule must not assume
+// identity of the event that carried them.
 package vtime
 
 import "time"

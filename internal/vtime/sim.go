@@ -3,25 +3,23 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 	"time"
 )
 
 // SimClock is a deterministic simulated clock with an event queue.
 //
-// The zero value is not usable; construct with NewSimClock. SimClock is safe
-// for concurrent use, although the simulation in this repository is
-// deliberately single-goroutine for determinism.
+// The zero value is not usable; construct with NewSimClock. A SimClock is
+// not safe for concurrent use: the goroutine that drives its testbed owns
+// it (see the package doc).
 type SimClock struct {
-	mu     sync.Mutex
 	now    time.Time
 	queue  eventQueue
 	nextID uint64
 	// free recycles fired event structs. Event scheduling is the simulator's
 	// single busiest allocation site (every frame airtime, ack timeout, and
 	// retry books an event), so spent events return here instead of to the
-	// garbage collector. Guarded by mu; bounded so an event burst cannot pin
-	// memory forever.
+	// garbage collector. Bounded so an event burst cannot pin memory
+	// forever.
 	free []*event
 }
 
@@ -41,11 +39,7 @@ func NewSimClock() *SimClock {
 }
 
 // Now implements Clock.
-func (c *SimClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *SimClock) Now() time.Time { return c.now }
 
 // Sleep implements Clock by advancing simulated time, firing any events
 // scheduled inside the interval in timestamp order.
@@ -53,7 +47,7 @@ func (c *SimClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.AdvanceTo(c.Now().Add(d))
+	c.AdvanceTo(c.now.Add(d))
 }
 
 // Advance moves simulated time forward by d, firing due events in order.
@@ -64,40 +58,34 @@ func (c *SimClock) Advance(d time.Duration) {
 // AdvanceTo moves simulated time forward to instant t, firing due events in
 // order. Moving backwards is a no-op.
 func (c *SimClock) AdvanceTo(t time.Time) {
-	var spent *event
-	for {
-		c.mu.Lock()
-		c.recycle(spent)
-		if len(c.queue) == 0 || c.queue[0].at.After(t) {
-			if t.After(c.now) {
-				c.now = t
-			}
-			c.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.at.After(c.now) {
-			c.now = ev.at
-		}
-		c.mu.Unlock()
-		ev.fn()
-		spent = ev
+	for len(c.queue) > 0 && !c.queue[0].at.After(t) {
+		c.fire()
+	}
+	if t.After(c.now) {
+		c.now = t
 	}
 }
 
-// recycle returns a fired event to the freelist, dropping its callback
-// reference so pooled events never pin closures. Callers hold c.mu.
-func (c *SimClock) recycle(ev *event) {
-	if ev == nil || len(c.free) >= maxFreeEvents {
-		return
+// fire pops the earliest event, moves time to it, runs its callback and
+// recycles it. The callback may schedule or fire further events: the
+// queue is consistent before it runs, and the event is recycled only
+// after it returns.
+func (c *SimClock) fire() {
+	ev := heap.Pop(&c.queue).(*event)
+	if ev.at.After(c.now) {
+		c.now = ev.at
 	}
-	ev.fn = nil
-	c.free = append(c.free, ev)
+	ev.fn()
+	if len(c.free) < maxFreeEvents {
+		// Drop the callback so pooled events never pin closures.
+		ev.fn = nil
+		c.free = append(c.free, ev)
+	}
 }
 
 // Elapsed reports how much simulated time has passed since the given origin.
 func (c *SimClock) Elapsed(origin time.Time) time.Duration {
-	return c.Now().Sub(origin)
+	return c.now.Sub(origin)
 }
 
 // Schedule registers fn to run when simulated time reaches now+delay.
@@ -110,15 +98,13 @@ func (c *SimClock) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.nextID++
 	ev := c.newEvent()
 	ev.at, ev.seq, ev.fn = c.now.Add(delay), c.nextID, fn
 	heap.Push(&c.queue, ev)
 }
 
-// newEvent takes an event from the freelist, or allocates. Callers hold c.mu.
+// newEvent takes an event from the freelist, or allocates.
 func (c *SimClock) newEvent() *event {
 	if n := len(c.free); n > 0 {
 		ev := c.free[n-1]
@@ -130,37 +116,20 @@ func (c *SimClock) newEvent() *event {
 }
 
 // PendingEvents reports the number of scheduled events not yet fired.
-func (c *SimClock) PendingEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
+func (c *SimClock) PendingEvents() int { return len(c.queue) }
 
 // RunUntilIdle fires all scheduled events (including ones scheduled by
 // fired events), advancing time as needed, and returns the final instant.
 // It guards against runaway self-rescheduling with a generous event budget.
 func (c *SimClock) RunUntilIdle() time.Time {
 	const budget = 10_000_000
-	var spent *event
-	for i := 0; ; i++ {
+	for i := 0; len(c.queue) > 0; i++ {
 		if i >= budget {
 			panic(fmt.Sprintf("vtime: RunUntilIdle exceeded %d events; self-rescheduling loop?", budget))
 		}
-		c.mu.Lock()
-		c.recycle(spent)
-		if len(c.queue) == 0 {
-			now := c.now
-			c.mu.Unlock()
-			return now
-		}
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.at.After(c.now) {
-			c.now = ev.at
-		}
-		c.mu.Unlock()
-		ev.fn()
-		spent = ev
+		c.fire()
 	}
+	return c.now
 }
 
 // event is a single scheduled callback.

@@ -103,10 +103,12 @@ func (d *Dongle) SendRaw(raw []byte) error {
 // Send crafts and injects a well-formed frame with the given application
 // payload, spoofing src.
 func (d *Dongle) Send(home protocol.HomeID, src, dst protocol.NodeID, payload []byte) error {
-	// Encode into a pooled buffer; delivery is synchronous, so the medium
-	// is done with the bytes by the time SendRaw returns.
-	buf := protocol.GetBuf()
-	defer protocol.PutBuf(buf)
+	// Encode into a buffer from the medium's freelist; delivery is
+	// synchronous, so the medium is done with the bytes by the time SendRaw
+	// returns.
+	free := d.trx.Freelist()
+	buf := free.GetBuf()
+	defer free.PutBuf(buf)
 	raw, err := protocol.NewDataFrame(home, src, dst, payload).AppendEncode(*buf)
 	if err != nil {
 		return err
@@ -143,8 +145,9 @@ func (d *Dongle) SendAndObserve(home protocol.HomeID, src, dst protocol.NodeID, 
 // callers.
 func (d *Dongle) classify(home protocol.HomeID, src, dst protocol.NodeID) Exchange {
 	var ex Exchange
-	f := protocol.GetFrame()
-	defer protocol.PutFrame(f)
+	free := d.trx.Freelist()
+	f := free.GetFrame()
+	defer free.PutFrame(f)
 	lane := d.Lane()
 	for i := range d.buffer {
 		err := protocol.DecodeInto(f, d.buffer[i].Raw, protocol.ChecksumCS8)
