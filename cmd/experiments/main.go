@@ -8,7 +8,7 @@
 //	experiments -fuzz 2h        # shrink the 24 h campaigns (faster)
 //	experiments -workers 8      # parallel campaigns (0 = GOMAXPROCS)
 //	experiments -progress       # live fleet ticker on stderr
-//	experiments -metrics-out metrics.json -trace-out spans.jsonl
+//	experiments -metrics-out metrics.json -trace-out trace.json
 //	experiments -flight-recorder 16 -obs-addr localhost:6060
 //	experiments -run scaling -scaling-out BENCH_scaling.json
 //
@@ -92,7 +92,7 @@ func run(args []string) error {
 	attempts := fs.Int("attempts", 0, "attempts per campaign before it is reported failed (0 = fleet default)")
 	progress := fs.Bool("progress", false, "render a live fleet progress ticker on stderr")
 	metricsOut := fs.String("metrics-out", "", "write final metrics to this file (.json = JSON document, else Prometheus text)")
-	traceOut := fs.String("trace-out", "", "write fleet job spans to this file as JSON lines")
+	traceOut := fs.String("trace-out", "", "write the final worker timeline (per-job phase intervals on the wall and sim clocks) to this file as one JSON document")
 	flightDepth := fs.Int("flight-recorder", 0, "attach a packet flight recorder of this depth to every campaign testbed (0 = off)")
 	chaosProfiles := fs.String("chaos-profiles", "", "comma-separated impairment profiles for -run chaos (empty = burst,noise,jitter)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the chaos campaign's fault injectors")
@@ -114,7 +114,7 @@ func run(args []string) error {
 	// Fleet counters publish into the process registry; the drivers run one
 	// fleet at a time, so per-fleet Progress deltas stay exact while the
 	// registry accumulates process totals for -metrics-out. The worker
-	// timeline feeds the /timeline endpoint live.
+	// timeline feeds the /timeline endpoint live and -trace-out at exit.
 	timeline := obs.NewTimeline()
 	fleetCfg := fleet.Config{Workers: *workers, MaxAttempts: *attempts,
 		Telemetry: telemetry.Default(), Timeline: timeline}
@@ -151,12 +151,11 @@ func run(args []string) error {
 		defer harness.SetBugLog(nil)
 	}
 	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		fleetCfg.Tracer = telemetry.NewTracer(tf, nil)
+		defer func() {
+			if err := timeline.Snapshot().WriteFile(*traceOut); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+			}
+		}()
 	}
 	if *metricsOut != "" {
 		defer func() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -175,5 +176,51 @@ func TestObsAddrFlag(t *testing.T) {
 	}
 	if err := run([]string{"-run", "fig1", "-obs-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatalf("-obs-addr with ephemeral port: %v", err)
+	}
+}
+
+// TestTraceOutWritesTimeline drives -trace-out on a short Table V sweep:
+// the file is one timeline snapshot in which all ten jobs have scan and
+// fuzz intervals stamped on their testbed's sim clock, and the ZCover jobs
+// a discover interval too.
+func TestTraceOutWritesTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	captureStdout(t, func() error {
+		return run([]string{"-run", "table5", "-fuzz", "10m", "-workers", "2", "-trace-out", path})
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatalf("-trace-out is not one timeline snapshot: %v", err)
+	}
+	phases := map[string]map[string]bool{}
+	for _, iv := range snap.Intervals {
+		switch iv.Phase {
+		case obs.PhaseScan, obs.PhaseDiscover, obs.PhaseFuzz:
+			if iv.SimStart.IsZero() || iv.SimEnd.IsZero() || iv.SimDur() <= 0 {
+				t.Errorf("%s/%s sim bounds %v → %v", iv.Job, iv.Phase, iv.SimStart, iv.SimEnd)
+			}
+			if phases[iv.Job] == nil {
+				phases[iv.Job] = map[string]bool{}
+			}
+			phases[iv.Job][iv.Phase] = true
+		}
+	}
+	if len(phases) != 10 {
+		t.Fatalf("%d jobs with pipeline intervals, want 10: %v", len(phases), phases)
+	}
+	for job, seen := range phases {
+		want := []string{obs.PhaseScan, obs.PhaseFuzz}
+		if strings.HasSuffix(job, "/zcover") {
+			want = append(want, obs.PhaseDiscover)
+		}
+		for _, phase := range want {
+			if !seen[phase] {
+				t.Errorf("job %s has no %s interval", job, phase)
+			}
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"zcover"
+	"zcover/internal/fleet"
 	"zcover/internal/obs"
 	"zcover/internal/report"
 	"zcover/internal/telemetry"
@@ -49,7 +50,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "deterministic campaign seed")
 	verbose := fs.Bool("v", false, "stream findings live as they are discovered")
 	metricsOut := fs.String("metrics-out", "", "write final metrics to this file (.json = JSON document, else Prometheus text)")
-	traceOut := fs.String("trace-out", "", "write phase spans to this file as JSON lines")
+	traceOut := fs.String("trace-out", "", "write the campaign's phase timeline (wall and sim clock) to this file as one JSON document")
 	flightDepth := fs.Int("flight-recorder", 0, "attach a packet flight recorder of this depth; findings carry frame traces (0 = off)")
 	chaosProfile := fs.String("chaos-profile", "", "impair the channel with this fault profile, e.g. burst, noise, jitter, lossy:corrupt=0.1 (empty = clean)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the fault injector's impairment streams")
@@ -81,10 +82,13 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown fuzz mode %q (want zcover or coverage)", *fuzzMode)
 	}
+	// The campaign's phase timeline: one lane, stamped on the wall clock
+	// and the testbed's sim clock at every phase boundary.
+	timeline := obs.NewTimeline()
 	if *obsAddr != "" {
 		// Binds synchronously: a bad address fails here, before any
 		// campaign work, instead of being printed and swallowed mid-run.
-		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), nil)
+		srv, err := obs.NewServer(*obsAddr, telemetry.Default(), timeline)
 		if err != nil {
 			return err
 		}
@@ -120,6 +124,12 @@ func run(args []string) error {
 		return fmt.Errorf("unknown strategy %q (want full, beta, or gamma)", *strategy)
 	}
 
+	job := fleet.Job{Device: *target, Strategy: strat, ChaosProfile: *chaosProfile}
+	if *fuzzMode == "coverage" {
+		job.FuzzMode = fleet.ModeCoverage
+	}
+	label := job.Label()
+	timeline.Phase(0, label, obs.PhaseBuild, time.Time{})
 	tb, err := zcover.NewTestbed(*target, *seed)
 	if err != nil {
 		return err
@@ -139,19 +149,30 @@ func run(args []string) error {
 	}
 	fmt.Println()
 
-	opts := zcover.Options{FlightRecorderDepth: *flightDepth}
+	opts := zcover.Options{
+		FlightRecorderDepth: *flightDepth,
+		OnPhase: func(phase string) {
+			timeline.Phase(0, label, phase, tb.Clock.Now())
+		},
+	}
+	// writeOutputs ends the campaign's last phase on the sim clock and
+	// exports the -metrics-out and -trace-out files.
+	writeOutputs := func() error {
+		timeline.SimEnd(0, tb.Clock.Now())
+		if *metricsOut != "" {
+			if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
+				return err
+			}
+		}
+		if *traceOut != "" {
+			return timeline.Snapshot().WriteFile(*traceOut)
+		}
+		return nil
+	}
 	if *verbose {
 		opts.OnFinding = func(f zcover.Finding) {
 			fmt.Printf("  [%8s] pkt %-6d %s\n", f.Elapsed.Round(time.Second), f.Packets, f.Signature)
 		}
-	}
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		opts.Tracer = telemetry.NewTracer(tf, nil)
 	}
 	if *fuzzMode == "coverage" {
 		if *corpusDir != "" {
@@ -164,10 +185,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *metricsOut != "" {
-			if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
-				return err
-			}
+		if err := writeOutputs(); err != nil {
+			return err
 		}
 		if *coverageOut != "" {
 			b, err := json.MarshalIndent(res.Coverage, "", "  ")
@@ -210,10 +229,8 @@ func run(args []string) error {
 		fmt.Println("Campaign replayed from checkpoint journal — nothing executed.")
 		fmt.Println()
 	}
-	if *metricsOut != "" {
-		if err := telemetry.Default().WriteFile(*metricsOut); err != nil {
-			return err
-		}
+	if err := writeOutputs(); err != nil {
+		return err
 	}
 
 	fmt.Println("Phase 1 — known properties fingerprinting")

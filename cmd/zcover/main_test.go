@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"zcover/internal/obs"
 )
 
 func TestRunShortCampaign(t *testing.T) {
@@ -153,5 +158,44 @@ func TestCoverageModeCLI(t *testing.T) {
 	}
 	if string(cov1) != string(cov2) {
 		t.Error("resumed coverage map differs")
+	}
+}
+
+// TestTraceOutStampsSimClock pins -trace-out's sim stamps: the pipeline
+// intervals of a fixed-seed campaign carry the exact sim-clock phase
+// boundaries, next to their wall bounds.
+func TestTraceOutStampsSimClock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	capture(t, func() error {
+		return run([]string{"-target", "D4", "-duration", "10m", "-seed", "7", "-trace-out", path})
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, iv := range snap.Intervals {
+		if iv.Job != "D4/zcover-full" {
+			t.Errorf("interval job = %q, want D4/zcover-full", iv.Job)
+		}
+		if !iv.End.After(iv.Start) {
+			t.Errorf("%s wall bounds %v → %v", iv.Phase, iv.Start, iv.End)
+		}
+		if iv.Phase != obs.PhaseBuild {
+			got = append(got, fmt.Sprintf("%s %s→%s", iv.Phase,
+				iv.SimStart.Format(time.RFC3339Nano), iv.SimEnd.Format(time.RFC3339Nano)))
+		}
+	}
+	want := []string{
+		"scan 2025-01-01T00:00:00Z→2025-01-01T00:02:00.6Z",
+		"discover 2025-01-01T00:02:00.6Z→2025-01-01T00:06:30Z",
+		"fuzz 2025-01-01T00:06:30Z→2025-01-01T00:16:30.4Z",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("pipeline sim stamps:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -1,8 +1,8 @@
 // Command zreplay works with ZCover bug logs: it can run a campaign and
 // save its findings as a JSON-lines log, replay a saved log as
 // single-packet proof-of-concept exploits against fresh devices, replay
-// the built-in catalogue of the paper's fifteen PoCs, or summarise a span
-// trace written by -trace-out.
+// the built-in catalogue of the paper's fifteen PoCs, or summarise the
+// phase timeline written by -trace-out.
 //
 // Usage:
 //
@@ -10,21 +10,23 @@
 //	zreplay -hunt -flight-recorder 16 -out bugs.jsonl        # + frame traces
 //	zreplay -log bugs.jsonl                                  # replay a log
 //	zreplay -catalog                                         # replay Table III PoCs
-//	zreplay -trace spans.jsonl                               # summarise a trace
+//	zreplay -trace trace.json                                # summarise a timeline
 package main
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"zcover"
 	"zcover/internal/cmdclass"
 	"zcover/internal/decode"
 	"zcover/internal/harness"
-	"zcover/internal/telemetry"
+	"zcover/internal/obs"
 	"zcover/internal/zcover/fuzz"
 	"zcover/internal/zcover/minimize"
 )
@@ -47,7 +49,7 @@ func run(args []string) error {
 	minimise := fs.Bool("minimize", false, "minimise each trigger payload before replaying")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	flightDepth := fs.Int("flight-recorder", 0, "with -hunt: attach a packet flight recorder of this depth so findings carry frame traces (0 = off)")
-	tracePath := fs.String("trace", "", "span trace file (from -trace-out) to summarise")
+	tracePath := fs.String("trace", "", "timeline file (from -trace-out) to summarise")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -123,27 +125,39 @@ func runHunt(target string, duration time.Duration, out string, seed int64, flig
 	return nil
 }
 
-// summariseTrace prints the spans of a -trace-out file in order.
+// summariseTrace prints one line per non-idle interval of a -trace-out
+// timeline (job, phase, wall and sim duration), then each job's attempt
+// count: the number of testbeds built for it.
 func summariseTrace(path string) error {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	events, err := telemetry.ReadTrace(f)
-	if err != nil {
-		return err
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	for _, ev := range events {
-		attrs := ""
-		for _, k := range []string{"device", "strategy", "outcome", "findings", "packets", "attempts"} {
-			if v, ok := ev.Attrs[k]; ok {
-				attrs += fmt.Sprintf(" %s=%s", k, v)
-			}
+	attempts := map[string]int{}
+	for _, iv := range snap.Intervals {
+		if iv.Phase == obs.PhaseIdle {
+			continue
 		}
-		fmt.Printf("%-8s %-24s %12.3fs%s\n", ev.Kind, ev.Name, ev.DurSec, attrs)
+		fmt.Printf("%-28s %-9s %12.6fs wall %14s sim\n", iv.Job, iv.Phase, iv.Dur().Seconds(), iv.SimDur())
+		n := attempts[iv.Job]
+		if iv.Phase == obs.PhaseBuild {
+			n++
+		}
+		attempts[iv.Job] = n
 	}
-	fmt.Printf("\n%d spans\n", len(events))
+	jobs := make([]string, 0, len(attempts))
+	for job := range attempts {
+		jobs = append(jobs, job)
+	}
+	sort.Strings(jobs)
+	fmt.Printf("\n%d jobs\n", len(jobs))
+	for _, job := range jobs {
+		fmt.Printf("%-28s attempts %d\n", job, attempts[job])
+	}
 	return nil
 }
 

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -175,19 +174,17 @@ type Config struct {
 	// export. Progress snapshots stay exact either way — each fleet tracks
 	// deltas from the registry values it observed at construction.
 	Telemetry *telemetry.Registry
-	// Tracer, if set, emits one JSONL span per job (wall-clock times, with
-	// device/strategy/attempt attributes) — the fleet half of the trace
-	// stream the pipeline phases also write to.
-	Tracer *telemetry.Tracer
 	// Checkpoint, if set, asks the campaign layer to journal completed
 	// jobs crash-safely and to resume across runs. The fleet carries the
 	// spec but does not interpret it (see CheckpointSpec); callers
 	// install the journal through WithResume.
 	Checkpoint *CheckpointSpec
 	// Timeline, if set, records per-worker phase intervals (build, the
-	// pipeline phases, persist, idle) for the scaling report and the
-	// /timeline endpoint. Nil disables recording at zero cost; attaching
-	// one never changes campaign results.
+	// pipeline phases, persist, idle) on the wall clock and, for the
+	// phases that run on the job's testbed, on its simulated clock — the
+	// source of the scaling report, the /timeline endpoint and -trace-out.
+	// Nil disables recording at zero cost; attaching one never changes
+	// campaign results.
 	Timeline *obs.Timeline
 }
 
@@ -342,7 +339,7 @@ func (f *Fleet[T]) Run() []Result[T] {
 			// slice needs no lock; wg.Wait orders the writes before reads.
 			for i := range idx {
 				results[i] = f.execute(w, i, f.jobs[i])
-				f.cfg.Timeline.Phase(w, "", obs.PhaseIdle)
+				f.cfg.Timeline.Phase(w, "", obs.PhaseIdle, time.Time{})
 			}
 		}(w)
 	}
@@ -390,9 +387,6 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 	f.notify()
 
 	res := Result[T]{Job: job}
-	span := f.cfg.Tracer.Span(job.Label(), "job", map[string]string{
-		"device": job.Device, "strategy": string(job.Strategy),
-	})
 	wallStart := time.Now()
 	for attempt := 1; attempt <= f.cfg.MaxAttempts; attempt++ {
 		res.Attempts = attempt
@@ -415,19 +409,12 @@ func (f *Fleet[T]) execute(w, i int, job Job) Result[T] {
 		}
 	}
 	res.Wall = time.Since(wallStart)
-	span.SetAttr("attempts", strconv.Itoa(res.Attempts))
-	if res.Err != nil {
-		span.SetAttr("outcome", "failed")
-	} else {
-		span.SetAttr("outcome", "done")
-	}
-	_ = span.End()
 
 	if res.Err == nil && f.persist != nil {
 		// Persist is serialized across workers, so with a deep queue this
 		// section shows up on the timeline as contention — phase-attribute
 		// the wait plus the fsync'd append together.
-		f.cfg.Timeline.Phase(w, job.Label(), obs.PhasePersist)
+		f.cfg.Timeline.Phase(w, job.Label(), obs.PhasePersist, time.Time{})
 		f.persistMu.Lock()
 		err := f.persist(i, job, res)
 		f.persistMu.Unlock()
@@ -454,15 +441,20 @@ func (f *Fleet[T]) attempt(w int, job Job, ob *Observer) (val T, err error) {
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseBuild)
+	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseBuild, time.Time{})
 	tb, err := job.build()
 	if err != nil {
 		return val, err
 	}
 	// Runners that report pipeline phases (Observer.Phase) refine this;
 	// anything else is attributed to the catch-all run phase.
-	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseRun)
-	return f.runner(tb, job, ob)
+	ob.clock = tb.Clock
+	f.cfg.Timeline.Phase(w, job.Label(), obs.PhaseRun, tb.Clock.Now())
+	val, err = f.runner(tb, job, ob)
+	// The last phase ends on the sim clock where the runner left the
+	// testbed; its wall time runs on until the worker's next transition.
+	f.cfg.Timeline.SimEnd(w, tb.Clock.Now())
+	return val, err
 }
 
 // FirstError returns the first failed job's error in job order, or nil if

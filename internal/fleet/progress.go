@@ -7,6 +7,7 @@ import (
 
 	"zcover/internal/obs"
 	"zcover/internal/telemetry"
+	"zcover/internal/vtime"
 )
 
 // Progress is an atomic snapshot of a running fleet. All counters are
@@ -142,25 +143,28 @@ type Observer struct {
 	onChange func()
 
 	// timeline/worker/job route Phase calls to the fleet's worker
-	// timeline; timeline may be nil (no-op).
+	// timeline, stamped with the attempt's testbed clock; timeline may be
+	// nil (no-op).
 	timeline *obs.Timeline
 	worker   int
 	job      string
+	clock    *vtime.SimClock
 
 	findings int64
 	packets  int64
 	simNanos int64
 }
 
-// Phase attributes the worker's wall time to a campaign phase from here
-// until the next transition (one of the obs.Phase* names — the harness
-// reports scan/discover/fuzz as the pipeline advances). No-op without a
-// timeline; never affects campaign results.
+// Phase attributes the worker's time to a campaign phase from here until
+// the next transition (one of the obs.Phase* names — the harness reports
+// scan/discover/fuzz as the pipeline advances), stamping the boundary on
+// the wall clock and the testbed's sim clock. No-op without a timeline;
+// never affects campaign results.
 func (o *Observer) Phase(name string) {
-	if o == nil {
+	if o == nil || o.timeline == nil {
 		return
 	}
-	o.timeline.Phase(o.worker, o.job, name)
+	o.timeline.Phase(o.worker, o.job, name, o.clock.Now())
 }
 
 // Finding records one new unique vulnerability (live — call it from the

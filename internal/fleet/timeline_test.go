@@ -34,7 +34,8 @@ func TestEffectiveWorkersCapsAtGomaxprocs(t *testing.T) {
 // TestFleetRecordsTimeline runs a real fleet with a timeline attached and
 // checks the fleet-level phase attribution: build and persist phases from
 // the fleet itself, run for a runner that never reports pipeline phases,
-// and per-lane job counts covering all jobs.
+// per-lane job counts covering all jobs, and sim stamps only on the phase
+// that ran on the testbed.
 func TestFleetRecordsTimeline(t *testing.T) {
 	jobs := []fleet.Job{
 		zcoverJob("a", "D1", 1),
@@ -43,6 +44,7 @@ func TestFleetRecordsTimeline(t *testing.T) {
 	}
 	runner := func(tb *testbed.Testbed, job fleet.Job, obs *fleet.Observer) (string, error) {
 		time.Sleep(time.Millisecond)
+		tb.Clock.Advance(time.Minute)
 		return job.Name, nil
 	}
 	tl := obs.NewTimeline()
@@ -71,6 +73,15 @@ func TestFleetRecordsTimeline(t *testing.T) {
 	}
 	if snap.PhaseWallSec[obs.PhaseRun] <= 0 {
 		t.Errorf("run phase wall = %v, want > 0", snap.PhaseWallSec[obs.PhaseRun])
+	}
+	for _, iv := range snap.Intervals {
+		want := time.Duration(0)
+		if iv.Phase == obs.PhaseRun {
+			want = time.Minute
+		}
+		if iv.SimDur() != want {
+			t.Errorf("%s/%s sim duration = %v, want %v", iv.Job, iv.Phase, iv.SimDur(), want)
+		}
 	}
 }
 

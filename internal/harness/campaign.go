@@ -25,7 +25,7 @@ import (
 const PassiveScanWindow = 2 * time.Minute
 
 // Options attaches optional observability to a campaign run. The zero value
-// runs the campaign exactly as before: no callback, no recorder, no trace.
+// runs the campaign exactly as before: no callbacks, no recorder.
 // Every attachment is a pure observer — enabling them cannot change what the
 // campaign finds, only what it records along the way.
 type Options struct {
@@ -36,13 +36,10 @@ type Options struct {
 	// each finding carries a snapshot of the last frames on the air at the
 	// moment of discovery (Finding.Trace).
 	FlightRecorderDepth int
-	// Tracer, when non-nil, receives one "phase" span per pipeline stage
-	// (scan, discover, fuzz), timestamped on the testbed's simulated clock
-	// so traces are deterministic.
-	Tracer *telemetry.Tracer
 	// OnPhase, when non-nil, is invoked at the start of each pipeline
-	// phase ("scan", "discover", "fuzz") on the campaign goroutine —
-	// the hook the fleet's worker timeline attributes wall time through.
+	// phase ("scan", "discover", "fuzz") on the campaign goroutine. The
+	// testbed's owner hooks its obs.Timeline here, stamping each boundary
+	// on the wall clock and the testbed's sim clock.
 	OnPhase func(phase string)
 	// FrameBudget, when positive, caps the campaign's injected test frames
 	// (fuzz.Config.FrameBudget) — the equal-budget knob the covfuzz
@@ -51,14 +48,11 @@ type Options struct {
 	FrameBudget int
 }
 
-// phaseSpan opens a span on the simulated timeline; no-op without a tracer.
-// It also fires OnPhase, so span emission and wall-time attribution stay in
-// lockstep at every phase boundary.
-func (o Options) phaseSpan(tb *testbed.Testbed, name string, attrs map[string]string) *telemetry.Span {
+// phase fires OnPhase at a pipeline phase boundary.
+func (o Options) phase(name string) {
 	if o.OnPhase != nil {
 		o.OnPhase(name)
 	}
-	return o.Tracer.SpanAt(name, "phase", attrs, tb.Clock.Now())
 }
 
 // Campaign is one complete ZCover run against one testbed.
@@ -97,20 +91,15 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		tb.Medium.SetFlightRecorder(recorder)
 		defer tb.Medium.SetFlightRecorder(nil)
 	}
-	attrs := map[string]string{"device": tb.Controller.Profile().Index, "strategy": string(strategy)}
 
 	// Phase 1: known-properties fingerprinting over live traffic.
-	span := opts.phaseSpan(tb, "scan", attrs)
+	opts.phase("scan")
 	tb.ScheduleTraffic(12, 10*time.Second)
 	fp, err := scan.FingerprintTarget(d, PassiveScanWindow, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: fingerprinting: %w", err)
 	}
 	out := &Campaign{Fingerprint: fp}
-	span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 
 	// Phase 2: unknown-properties discovery (full strategy only — the β
 	// ablation deliberately ignores unknown classes, γ ignores both).
@@ -121,16 +110,12 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		}
 	}
 	if strategy == fuzz.StrategyFull {
-		span = opts.phaseSpan(tb, "discover", attrs)
+		opts.phase("discover")
 		out.Discovery, err = discover.Run(d, reg, fp)
 		if err != nil {
 			return nil, fmt.Errorf("harness: discovery: %w", err)
 		}
 		prioritized = out.Discovery.Prioritized
-		span.SetAttr("confirmed", fmt.Sprint(len(out.Discovery.ConfirmedCommands)))
-		if err := span.EndAt(tb.Clock.Now()); err != nil {
-			return nil, err
-		}
 	}
 
 	// Phase 3: position-sensitive mutation fuzzing.
@@ -141,7 +126,7 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		mut = mutate.New(mutate.Semantics{Controller: fp.Controller, KnownNodes: fp.Nodes}, seed)
 	}
 	queue := fuzz.BuildQueue(strategy, reg, listed, prioritized, seed)
-	span = opts.phaseSpan(tb, "fuzz", attrs)
+	opts.phase("fuzz")
 	fcfg := fuzz.Config{
 		Duration:    duration,
 		OnFinding:   opts.OnFinding,
@@ -168,11 +153,6 @@ func RunZCoverWith(tb *testbed.Testbed, strategy fuzz.Strategy, duration time.Du
 		// Discovery.
 		out.Fuzz.CommandsCovered = len(out.Discovery.ConfirmedCommands)
 	}
-	span.SetAttr("findings", fmt.Sprint(len(out.Fuzz.Findings)))
-	span.SetAttr("packets", fmt.Sprint(out.Fuzz.PacketsSent))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -189,7 +169,7 @@ func RunVFuzzObserved(tb *testbed.Testbed, duration time.Duration, seed int64, o
 }
 
 // RunVFuzzWith is RunVFuzz with observability attachments. The VFuzz
-// baseline has no discovery phase, so it emits only scan and fuzz spans.
+// baseline has no discovery phase, so OnPhase sees only scan and fuzz.
 func RunVFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opts Options) (*fuzz.Result, error) {
 	d := dongle.New(tb.Medium, tb.Region)
 	if opts.FlightRecorderDepth > 0 {
@@ -197,20 +177,16 @@ func RunVFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opts 
 		tb.Medium.SetFlightRecorder(recorder)
 		defer tb.Medium.SetFlightRecorder(nil)
 	}
-	attrs := map[string]string{"device": tb.Controller.Profile().Index, "strategy": string(vfuzz.StrategyVFuzz)}
 
-	span := opts.phaseSpan(tb, "scan", attrs)
+	opts.phase("scan")
 	tb.ScheduleTraffic(12, 10*time.Second)
 	nets := scan.Passive(d, PassiveScanWindow)
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("harness: vfuzz: no traffic observed")
 	}
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 
 	net := nets[0]
-	span = opts.phaseSpan(tb, "fuzz", attrs)
+	opts.phase("fuzz")
 	engine := vfuzz.New(d, net.Home, net.Controller, vfuzz.Config{
 		Duration: duration, Seed: seed, OnFinding: opts.OnFinding,
 	})
@@ -218,9 +194,5 @@ func RunVFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opts 
 	defer sub.Unsubscribe()
 	res := engine.Run()
 	res.Device = tb.Controller.Profile().Index
-	span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 	return res, nil
 }

@@ -121,11 +121,25 @@ func EncodeOutcome(o FleetOutcome) (json.RawMessage, error) {
 	return raw, nil
 }
 
-// DecodeOutcome is the EncodeOutcome inverse.
+// DecodeOutcome is the EncodeOutcome inverse. Bodies arrive from disk and
+// from coordinator workers, so it enforces the FleetOutcome invariant:
+// exactly one outcome kind, and a campaign carries its fuzz result.
 func DecodeOutcome(raw json.RawMessage) (FleetOutcome, error) {
 	var rec outcomeRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return FleetOutcome{}, fmt.Errorf("harness: decoding outcome: %w", err)
+	}
+	kinds := 0
+	for _, set := range []bool{rec.Campaign != nil, rec.Baseline != nil, rec.CovFuzz != nil} {
+		if set {
+			kinds++
+		}
+	}
+	if kinds != 1 {
+		return FleetOutcome{}, fmt.Errorf("harness: decoding outcome: %d outcome kinds set, want exactly 1", kinds)
+	}
+	if rec.Campaign != nil && rec.Campaign.Fuzz == nil {
+		return FleetOutcome{}, fmt.Errorf("harness: decoding outcome: campaign without a fuzz result")
 	}
 	out := FleetOutcome{Baseline: rec.Baseline, CovFuzz: rec.CovFuzz}
 	if rec.Campaign != nil {

@@ -69,36 +69,27 @@ func RunCovFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opt
 		defer tb.Medium.SetFlightRecorder(nil)
 	}
 	device := tb.Controller.Profile().Index
-	attrs := map[string]string{"device": device, "strategy": string(fuzz.StrategyCoverage)}
 
 	// Phase 1: fingerprinting.
-	span := opts.phaseSpan(tb, "scan", attrs)
+	opts.phase("scan")
 	tb.ScheduleTraffic(12, 10*time.Second)
 	fp, err := scan.FingerprintTarget(d, PassiveScanWindow, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: fingerprinting: %w", err)
 	}
-	span.SetAttr("nodes", fmt.Sprint(len(fp.Nodes)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 
 	// Phase 2: discovery — the coverage-guided engine starts from the same
 	// prioritised queue as the full generational strategy.
-	span = opts.phaseSpan(tb, "discover", attrs)
+	opts.phase("discover")
 	disc, err := discover.Run(d, reg, fp)
 	if err != nil {
 		return nil, fmt.Errorf("harness: discovery: %w", err)
-	}
-	span.SetAttr("confirmed", fmt.Sprint(len(disc.ConfirmedCommands)))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
 	}
 
 	// Phase 3: coverage-guided fuzzing.
 	mut := mutate.New(mutate.Semantics{Controller: fp.Controller, KnownNodes: fp.Nodes}, seed)
 	queue := fuzz.BuildQueue(fuzz.StrategyFull, reg, nil, disc.Prioritized, seed)
-	span = opts.phaseSpan(tb, "fuzz", attrs)
+	opts.phase("fuzz")
 	fcfg := fuzz.Config{
 		Duration:    duration,
 		OnFinding:   opts.OnFinding,
@@ -141,12 +132,6 @@ func RunCovFuzzWith(tb *testbed.Testbed, duration time.Duration, seed int64, opt
 		return nil, err
 	}
 	res.CommandsCovered = len(disc.ConfirmedCommands)
-	span.SetAttr("findings", fmt.Sprint(len(res.Findings)))
-	span.SetAttr("packets", fmt.Sprint(res.PacketsSent))
-	span.SetAttr("features", fmt.Sprint(res.Coverage.Features))
-	if err := span.EndAt(tb.Clock.Now()); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 

@@ -278,8 +278,13 @@ func table5Jobs(duration time.Duration) []fleet.Job {
 var table5Devices = []string{"D1", "D2", "D3", "D4", "D5"}
 
 // renderTable5 renders Table V from its campaign outcomes (index-aligned
-// with table5Jobs).
+// with table5Jobs). Outcomes may come from coordinator uploads, so a row
+// whose outcomes are not the kinds its jobs produce is an error, not a
+// panic.
 func renderTable5(outs []FleetOutcome) (*report.Table, []Table5Row, error) {
+	if len(outs) != 2*len(table5Devices) {
+		return nil, nil, fmt.Errorf("harness: table5: %d outcomes for %d jobs", len(outs), 2*len(table5Devices))
+	}
 	out := &report.Table{
 		Title: "Table V: CMDCL coverage and unique vulnerability discovery, VFuzz vs ZCover",
 		Headers: []string{"ID", "VFuzz CMDCL", "VFuzz CMD", "VFuzz #Vul",
@@ -294,6 +299,12 @@ func renderTable5(outs []FleetOutcome) (*report.Table, []Table5Row, error) {
 	for i, idx := range devices {
 		vres := outs[2*i].Baseline
 		zc := outs[2*i+1].Campaign
+		if vres == nil {
+			return nil, nil, fmt.Errorf("harness: table5 row %s: VFuzz job outcome is not a baseline result", idx)
+		}
+		if zc == nil || zc.Fuzz == nil {
+			return nil, nil, fmt.Errorf("harness: table5 row %s: ZCover job outcome is not a campaign", idx)
+		}
 		overlap := 0
 		zSigs := make(map[string]bool, len(zc.Fuzz.Findings))
 		for _, f := range zc.Fuzz.Findings {

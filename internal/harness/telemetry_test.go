@@ -2,32 +2,51 @@ package harness
 
 import (
 	"bytes"
-	"io"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"zcover/internal/fleet"
+	"zcover/internal/obs"
 	"zcover/internal/telemetry"
 	"zcover/internal/testbed"
 	"zcover/internal/zcover/fuzz"
 )
 
 // fullTelemetryConfig builds a fleet config with every telemetry attachment
-// live: a shared registry, a job tracer, and (via the process-wide knob) a
-// flight recorder on every campaign testbed.
-func fullTelemetryConfig(workers int, traceSink io.Writer) fleet.Config {
+// live: a shared registry, a worker timeline, and (via the process-wide
+// knob) a flight recorder on every campaign testbed.
+func fullTelemetryConfig(workers int, tl *obs.Timeline) fleet.Config {
 	return fleet.Config{
 		Workers:   workers,
 		Telemetry: telemetry.NewRegistry(),
-		Tracer:    telemetry.NewTracer(traceSink, nil),
+		Timeline:  tl,
 	}
+}
+
+// pipelineSimSpans lists a timeline's pipeline intervals as sorted
+// "job phase simStart simEnd" strings: the worker-count-independent part
+// of the timeline.
+func pipelineSimSpans(snap obs.Snapshot) []string {
+	var out []string
+	for _, iv := range snap.Intervals {
+		switch iv.Phase {
+		case obs.PhaseScan, obs.PhaseDiscover, obs.PhaseFuzz:
+			out = append(out, fmt.Sprintf("%s %s %s %s", iv.Job, iv.Phase,
+				iv.SimStart.Format(time.RFC3339Nano), iv.SimEnd.Format(time.RFC3339Nano)))
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestTable5ByteIdenticalWithTelemetryAcrossWorkers asserts the ISSUE's
 // determinism hard constraint: enabling the whole observability stack —
-// metrics registry, flight recorder, span tracer — must not perturb
-// Table V by a single byte, at any worker count.
+// metrics registry, flight recorder, worker timeline — must not perturb
+// Table V by a single byte, at any worker count, and the timeline's sim
+// stamps must not depend on the worker count either.
 func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	baseTbl, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 1})
 	if err != nil {
@@ -36,9 +55,10 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 
 	SetFleetRecorderDepth(telemetry.DefaultFlightDepth)
 	defer SetFleetRecorderDepth(0)
+	var baseSpans []string
 	for _, workers := range []int{1, 8} {
-		var traces bytes.Buffer
-		tbl, _, err := Table5Fleet(fleetTestBudget, fullTelemetryConfig(workers, &traces))
+		tl := obs.NewTimeline()
+		tbl, _, err := Table5Fleet(fleetTestBudget, fullTelemetryConfig(workers, tl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,12 +66,15 @@ func TestTable5ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 			t.Errorf("Table V with telemetry (workers=%d) differs from plain run:\n--- telemetry ---\n%s\n--- plain ---\n%s",
 				workers, tbl.String(), baseTbl.String())
 		}
-		events, err := telemetry.ReadTrace(&traces)
-		if err != nil {
-			t.Fatalf("workers=%d: reading job trace: %v", workers, err)
+		spans := pipelineSimSpans(tl.Snapshot())
+		if len(spans) != 25 { // 5 × (scan, fuzz) VFuzz + 5 × (scan, discover, fuzz) ZCover
+			t.Errorf("workers=%d: %d pipeline intervals, want 25", workers, len(spans))
 		}
-		if len(events) != 10 {
-			t.Errorf("workers=%d: %d job spans, want 10 (one per Table V campaign)", workers, len(events))
+		if baseSpans == nil {
+			baseSpans = spans
+		} else if !slices.Equal(spans, baseSpans) {
+			t.Errorf("workers=%d: pipeline sim stamps differ from workers=1:\n%s\n--- workers=1 ---\n%s",
+				workers, strings.Join(spans, "\n"), strings.Join(baseSpans, "\n"))
 		}
 	}
 }
@@ -65,8 +88,7 @@ func TestTable6ByteIdenticalWithTelemetryAcrossWorkers(t *testing.T) {
 	SetFleetRecorderDepth(telemetry.DefaultFlightDepth)
 	defer SetFleetRecorderDepth(0)
 	for _, workers := range []int{1, 8} {
-		var traces bytes.Buffer
-		tbl, _, err := Table6Fleet(fleetTestBudget, fullTelemetryConfig(workers, &traces))
+		tbl, _, err := Table6Fleet(fleetTestBudget, fullTelemetryConfig(workers, obs.NewTimeline()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,27 +160,34 @@ func TestFlightRecorderAttachesTracesToFindings(t *testing.T) {
 
 // TestRecorderAndTracerDoNotPerturbFindings pins the observer-purity
 // contract at single-campaign granularity: the same seed yields the same
-// findings with and without every attachment enabled.
+// findings with and without every attachment enabled — a flight recorder,
+// and a timeline stamped through OnPhase the way a testbed's owner does.
 func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
-	run := func(opts Options) *fuzz.Result {
+	run := func(instrument bool) (*fuzz.Result, *obs.Timeline) {
 		t.Helper()
 		tb, err := testbed.New("D4", 7)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var tl *obs.Timeline
+		var opts Options
+		if instrument {
+			tl = obs.NewTimeline()
+			opts = Options{
+				FlightRecorderDepth: 32,
+				OnPhase:             func(phase string) { tl.Phase(0, "D4", phase, tb.Clock.Now()) },
+			}
+		}
 		c, err := RunZCoverWith(tb, fuzz.StrategyFull, fleetTestBudget, 7, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Fuzz
+		tl.SimEnd(0, tb.Clock.Now())
+		return c.Fuzz, tl
 	}
 
-	plain := run(Options{})
-	var traces strings.Builder
-	traced := run(Options{
-		FlightRecorderDepth: 32,
-		Tracer:              telemetry.NewTracer(&traces, nil),
-	})
+	plain, _ := run(false)
+	traced, tl := run(true)
 
 	if len(plain.Findings) != len(traced.Findings) {
 		t.Fatalf("finding count changed: %d plain, %d instrumented", len(plain.Findings), len(traced.Findings))
@@ -174,22 +203,14 @@ func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
 		t.Errorf("packet count changed: %d vs %d", plain.PacketsSent, traced.PacketsSent)
 	}
 
-	events, err := telemetry.ReadTrace(strings.NewReader(traces.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var phases []string
-	for _, ev := range events {
-		if ev.Kind == "phase" {
-			phases = append(phases, ev.Name)
+	for _, iv := range tl.Snapshot().Intervals {
+		phases = append(phases, iv.Phase)
+		if iv.SimDur() <= 0 {
+			t.Errorf("%s interval has non-positive sim duration (%v → %v)", iv.Phase, iv.SimStart, iv.SimEnd)
 		}
 	}
-	if want := []string{"scan", "discover", "fuzz"}; strings.Join(phases, ",") != strings.Join(want, ",") {
-		t.Errorf("phase spans = %v, want %v", phases, want)
-	}
-	for _, ev := range events {
-		if !ev.End.After(ev.Start) {
-			t.Errorf("span %q has non-positive duration (%v → %v)", ev.Name, ev.Start, ev.End)
-		}
+	if want := []string{"scan", "discover", "fuzz"}; !slices.Equal(phases, want) {
+		t.Errorf("phases = %v, want %v", phases, want)
 	}
 }

@@ -1,13 +1,16 @@
 // Package obs is the campaign execution profiler: it turns "the fleet
 // doesn't scale" into a ranked, reproducible bottleneck report.
 //
-// The package layers four pieces on the telemetry registry and span
-// tracer from internal/telemetry:
+// The package layers four pieces on the telemetry registry from
+// internal/telemetry:
 //
-//   - Worker timelines (Timeline): per-worker wall-clock intervals
-//     attributed to campaign phases (testbed build, scan, discovery, the
-//     fuzz loop, checkpoint persist, idle). Serialization shows up as
-//     idle gaps; phase dominance shows up as wall share.
+//   - Worker timelines (Timeline): the repository's one span model.
+//     Per-worker intervals attributed to campaign phases (testbed build,
+//     scan, discovery, the fuzz loop, checkpoint persist, idle), each
+//     stamped on the wall clock and, for phases that run on a testbed, on
+//     its simulated clock too. Serialization shows up as idle gaps; phase
+//     dominance shows up as wall share. -trace-out writes the final
+//     snapshot; /timeline serves the live one.
 //   - Contention capture (StartProfiling, SnapshotProfiles,
 //     TopContendedLocks, SampleRuntimeMetrics): opt-in runtime mutex and
 //     block profiling, pprof-format snapshots at campaign end, and
@@ -32,6 +35,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -63,8 +67,8 @@ const (
 	PhaseRun = "run"
 )
 
-// Interval is one contiguous stretch of one worker's wall time spent in a
-// single phase.
+// Interval is one contiguous stretch of one worker's time spent in a
+// single phase, stamped on both clocks.
 type Interval struct {
 	// Worker is the fleet worker lane (0-based).
 	Worker int `json:"worker"`
@@ -75,22 +79,35 @@ type Interval struct {
 	// Start and End bound the interval on the wall clock.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
+	// SimStart and SimEnd bound the interval on the testbed's simulated
+	// clock. Both are zero for phases with no testbed (idle, build,
+	// persist); SimEnd is zero while the interval is in flight, or when
+	// its attempt panicked before the runner returned.
+	SimStart time.Time `json:"sim_start"`
+	SimEnd   time.Time `json:"sim_end"`
 }
 
-// Dur returns the interval's length.
+// Dur returns the interval's wall-clock length.
 func (iv Interval) Dur() time.Duration { return iv.End.Sub(iv.Start) }
+
+// SimDur returns the interval's simulated length, zero unless both sim
+// bounds are stamped.
+func (iv Interval) SimDur() time.Duration {
+	if iv.SimStart.IsZero() || iv.SimEnd.IsZero() {
+		return 0
+	}
+	return iv.SimEnd.Sub(iv.SimStart)
+}
 
 // lane is one worker's recording state.
 type lane struct {
 	intervals []Interval
 	open      Interval // open.Phase == "" means no interval in flight
-	active    bool
 }
 
 // Timeline records per-worker phase intervals. All methods are safe for
 // concurrent use and safe on a nil receiver (a nil *Timeline is a valid
-// no-op recorder, mirroring telemetry.Tracer), so the fleet and harness
-// call sites need no guards.
+// no-op recorder), so the fleet and harness call sites need no guards.
 //
 // Recording cost is one mutex acquisition per phase transition — a
 // handful per job, nowhere near the per-frame hot path.
@@ -120,6 +137,25 @@ func (t *Timeline) SetNow(now func() time.Time) {
 // StartWorker opens worker w's lane in the idle phase. The fleet calls it
 // once per worker goroutine before the job loop.
 func (t *Timeline) StartWorker(w int) {
+	t.Phase(w, "", PhaseIdle, time.Time{})
+}
+
+// StopWorker closes worker w's open interval.
+func (t *Timeline) StopWorker(w int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closeOpen(t.lane(w), t.now(), time.Time{})
+}
+
+// Phase transitions worker w into the given phase of the given job,
+// closing whatever interval was open. sim is the boundary's instant on the
+// job's testbed clock: it ends the closing interval on the sim clock and
+// starts the new one there. Pass the zero time for phases with no testbed
+// (idle, build, persist), and job "" with PhaseIdle for between-job waits.
+func (t *Timeline) Phase(w int, job, phase string, sim time.Time) {
 	if t == nil {
 		return
 	}
@@ -130,32 +166,22 @@ func (t *Timeline) StartWorker(w int) {
 		t.start = now
 	}
 	ln := t.lane(w)
-	ln.active = true
-	t.transition(ln, w, "", PhaseIdle, now)
+	t.closeOpen(ln, now, sim)
+	ln.open = Interval{Worker: w, Job: job, Phase: phase, Start: now, SimStart: sim}
 }
 
-// StopWorker closes worker w's open interval and marks the lane drained.
-func (t *Timeline) StopWorker(w int) {
+// SimEnd ends worker w's open interval on the sim clock at sim, leaving
+// its wall-clock end to the next transition. The testbed's owner calls it
+// when the campaign returns, so the last pipeline phase gets a sim end.
+func (t *Timeline) SimEnd(w int, sim time.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ln := t.lane(w)
-	t.closeOpen(ln, t.now())
-	ln.active = false
-}
-
-// Phase transitions worker w into the given phase of the given job,
-// closing whatever interval was open. Use job "" with PhaseIdle for
-// between-job waits.
-func (t *Timeline) Phase(w int, job, phase string) {
-	if t == nil {
-		return
+	if ln := t.lane(w); !ln.open.SimStart.IsZero() {
+		ln.open.SimEnd = sim
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.transition(t.lane(w), w, job, phase, t.now())
 }
 
 // lane returns worker w's lane, creating it. Callers hold t.mu.
@@ -168,20 +194,19 @@ func (t *Timeline) lane(w int) *lane {
 	return ln
 }
 
-// closeOpen completes the lane's open interval at now. Callers hold t.mu.
-func (t *Timeline) closeOpen(ln *lane, now time.Time) {
+// closeOpen completes the lane's open interval at wall instant now and,
+// unless SimEnd already stamped it, at sim on a testbed's clock. Callers
+// hold t.mu.
+func (t *Timeline) closeOpen(ln *lane, now, sim time.Time) {
 	if ln.open.Phase == "" {
 		return
 	}
 	ln.open.End = now
+	if !ln.open.SimStart.IsZero() && ln.open.SimEnd.IsZero() {
+		ln.open.SimEnd = sim
+	}
 	ln.intervals = append(ln.intervals, ln.open)
 	ln.open = Interval{}
-}
-
-// transition closes the open interval and opens a new one. Callers hold t.mu.
-func (t *Timeline) transition(ln *lane, w int, job, phase string, now time.Time) {
-	t.closeOpen(ln, now)
-	ln.open = Interval{Worker: w, Job: job, Phase: phase, Start: now}
 }
 
 // WorkerStats is one worker's aggregate over a timeline snapshot.
@@ -308,4 +333,18 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
+}
+
+// WriteFile writes the snapshot to path as one JSON document (the
+// -trace-out format).
+func (s Snapshot) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -37,17 +37,31 @@ func TestTimelinePhaseAttribution(t *testing.T) {
 	tl := obs.NewTimeline()
 	tl.SetNow(clk.now)
 
+	sim := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	tl.StartWorker(0)
 	clk.advance(2 * time.Second) // idle
-	tl.Phase(0, "job-a", obs.PhaseBuild)
+	tl.Phase(0, "job-a", obs.PhaseBuild, time.Time{})
 	clk.advance(1 * time.Second)
-	tl.Phase(0, "job-a", obs.PhaseFuzz)
+	tl.Phase(0, "job-a", obs.PhaseFuzz, sim)
 	clk.advance(5 * time.Second)
-	tl.Phase(0, "", obs.PhaseIdle)
+	tl.SimEnd(0, sim.Add(10*time.Minute))
+	tl.Phase(0, "", obs.PhaseIdle, time.Time{})
 	clk.advance(3 * time.Second)
 	tl.StopWorker(0)
 
 	snap := tl.Snapshot()
+	for _, iv := range snap.Intervals {
+		want := time.Duration(0)
+		if iv.Phase == obs.PhaseFuzz {
+			want = 10 * time.Minute
+		}
+		if iv.SimDur() != want {
+			t.Errorf("%s interval sim duration = %v, want %v", iv.Phase, iv.SimDur(), want)
+		}
+		if iv.Phase == obs.PhaseFuzz && !iv.SimStart.Equal(sim) {
+			t.Errorf("fuzz sim start = %v, want %v", iv.SimStart, sim)
+		}
+	}
 	if len(snap.Workers) != 1 {
 		t.Fatalf("workers = %d, want 1", len(snap.Workers))
 	}
@@ -91,7 +105,7 @@ func TestTimelineSnapshotTruncatesInFlight(t *testing.T) {
 	tl.SetNow(clk.now)
 
 	tl.StartWorker(3)
-	tl.Phase(3, "j", obs.PhaseScan)
+	tl.Phase(3, "j", obs.PhaseScan, time.Time{})
 	clk.advance(4 * time.Second)
 
 	snap := tl.Snapshot() // scan interval still open
@@ -110,7 +124,8 @@ func TestTimelineSnapshotTruncatesInFlight(t *testing.T) {
 func TestTimelineNilSafe(t *testing.T) {
 	var tl *obs.Timeline
 	tl.StartWorker(0) // must not panic
-	tl.Phase(0, "j", obs.PhaseFuzz)
+	tl.Phase(0, "j", obs.PhaseFuzz, time.Now())
+	tl.SimEnd(0, time.Now())
 	tl.StopWorker(0)
 	tl.SetNow(time.Now)
 	snap := tl.Snapshot()
@@ -126,8 +141,12 @@ func TestTimelineSnapshotJSONRoundTrip(t *testing.T) {
 	clk := newFakeClock()
 	tl := obs.NewTimeline()
 	tl.SetNow(clk.now)
+	sim := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
 	tl.StartWorker(0)
-	tl.Phase(0, "job", obs.PhaseFuzz)
+	tl.Phase(0, "job", obs.PhaseScan, sim)
+	clk.advance(time.Second)
+	tl.Phase(0, "job", obs.PhaseFuzz, sim.Add(2*time.Minute))
+	tl.SimEnd(0, sim.Add(12*time.Minute))
 	clk.advance(time.Second)
 	tl.StopWorker(0)
 
@@ -139,8 +158,14 @@ func TestTimelineSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
 		t.Fatalf("snapshot JSON does not parse: %v", err)
 	}
-	if len(back.Intervals) != 2 { // idle (zero-length) + fuzz
-		t.Errorf("round-tripped %d intervals, want 2", len(back.Intervals))
+	if len(back.Intervals) != 3 { // idle (zero-length) + scan + fuzz
+		t.Fatalf("round-tripped %d intervals, want 3", len(back.Intervals))
+	}
+	for i, want := range []time.Duration{0, 2 * time.Minute, 10 * time.Minute} {
+		if got := back.Intervals[i].SimDur(); got != want {
+			t.Errorf("interval %d (%s) sim duration = %v after round trip, want %v",
+				i, back.Intervals[i].Phase, got, want)
+		}
 	}
 }
 
@@ -155,8 +180,8 @@ func TestTimelineRace(t *testing.T) {
 			defer wg.Done()
 			tl.StartWorker(w)
 			for i := 0; i < 200; i++ {
-				tl.Phase(w, "j", obs.PhaseFuzz)
-				tl.Phase(w, "", obs.PhaseIdle)
+				tl.Phase(w, "j", obs.PhaseFuzz, time.Time{})
+				tl.Phase(w, "", obs.PhaseIdle, time.Time{})
 			}
 			tl.StopWorker(w)
 		}(w)

@@ -1,7 +1,7 @@
 // Package telemetry is the process-wide observability layer of the ZCover
 // reproduction: a metrics registry (named atomic counters, gauges, and
-// fixed-bucket histograms), a bounded packet flight recorder, and a
-// span-style tracer.
+// fixed-bucket histograms) and a bounded packet flight recorder. Phase
+// spans live in internal/obs (Timeline).
 //
 // The paper's evaluation is made of derived metrics — packets per campaign,
 // detection latencies, outage durations, coverage counts (Tables V/VI,
@@ -9,7 +9,7 @@
 // future analysis". This package gives every layer of the pipeline a single
 // place to emit those signals in machine-readable form: Prometheus text
 // exposition for scrapers, a single JSON document for the bench trajectory,
-// JSONL traces for post-mortem replay.
+// flight-recorder frame traces for post-mortem replay.
 //
 // Design constraints, in order:
 //

@@ -228,51 +228,3 @@ func TestFlightRecorderDefaultDepth(t *testing.T) {
 		t.Fatalf("Depth = %d, want %d", got, DefaultFlightDepth)
 	}
 }
-
-func TestTracerRoundTripAndNilSafety(t *testing.T) {
-	var nilTracer *Tracer
-	sp := nilTracer.Span("x", "phase", nil)
-	sp.SetAttr("k", "v")
-	if err := sp.End(); err != nil {
-		t.Fatalf("nil tracer span End: %v", err)
-	}
-
-	var buf bytes.Buffer
-	start := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	tr := NewTracer(&buf, nil)
-	s := tr.SpanAt("scan", "phase", map[string]string{"device": "D1"}, start)
-	s.SetAttr("strategy", "zcover-full")
-	if err := s.EndAt(start.Add(2 * time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Events() != 1 {
-		t.Fatalf("Events = %d, want 1", tr.Events())
-	}
-
-	evs, err := ReadTrace(strings.NewReader(buf.String() + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 {
-		t.Fatalf("ReadTrace returned %d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	if ev.Name != "scan" || ev.Kind != "phase" || ev.DurSec != 120 ||
-		ev.Attrs["device"] != "D1" || ev.Attrs["strategy"] != "zcover-full" {
-		t.Errorf("event = %+v", ev)
-	}
-	if !ev.Start.Equal(start) || !ev.End.Equal(start.Add(2*time.Minute)) {
-		t.Errorf("span times = %v..%v", ev.Start, ev.End)
-	}
-}
-
-func TestReadTraceToleratesUnknownFieldsRejectsGarbage(t *testing.T) {
-	in := `{"name":"fuzz","kind":"phase","start":"2025-01-01T00:00:00Z","end":"2025-01-01T00:01:00Z","dur_sec":60,"future_field":123}`
-	evs, err := ReadTrace(strings.NewReader(in))
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("unknown-field line: evs=%d err=%v", len(evs), err)
-	}
-	if _, err := ReadTrace(strings.NewReader("{not json}")); err == nil {
-		t.Fatal("malformed line did not error")
-	}
-}

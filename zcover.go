@@ -76,7 +76,7 @@ type (
 	// FleetJob is one self-contained campaign spec for the scheduler.
 	FleetJob = fleet.Job
 	// Options attaches observability (finding callback, packet flight
-	// recorder, phase tracer) to a campaign run.
+	// recorder, phase hook) to a campaign run.
 	Options = harness.Options
 	// TraceFrame is one serialised flight-recorder frame in a bug log.
 	TraceFrame = fuzz.TraceFrame
@@ -165,8 +165,8 @@ func RunObserved(tb *Testbed, strategy Strategy, duration time.Duration, seed in
 
 // RunWith is Run with observability attachments: a live finding callback,
 // a packet flight recorder whose snapshots ride on each finding, and a
-// span tracer for the pipeline phases. The zero Options value makes it
-// identical to Run.
+// hook fired at each pipeline phase boundary. The zero Options value makes
+// it identical to Run.
 func RunWith(tb *Testbed, strategy Strategy, duration time.Duration, seed int64, opts Options) (*Campaign, error) {
 	return harness.RunZCoverWith(tb, strategy, duration, seed, opts)
 }
