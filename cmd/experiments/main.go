@@ -10,7 +10,6 @@
 //	experiments -progress       # live fleet ticker on stderr
 //	experiments -metrics-out metrics.json -trace-out trace.json
 //	experiments -flight-recorder 16 -obs-addr localhost:6060
-//	experiments -run scaling -scaling-out BENCH_scaling.json
 //
 // Campaign experiments (table3/4/5/6, fig12, trials, remediation) are
 // scheduled across the internal/fleet worker pool: each campaign runs on
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,7 +81,7 @@ func (t *ticker) clear() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("run", "all", "experiment to run: all, fig1, fig5, figs8-11, table2, table3, table4, table5, table6, covfuzz, fig12, trials, remediation, chaos, scaling")
+	which := fs.String("run", "all", "experiment to run: all, fig1, fig5, figs8-11, table2, table3, table4, table5, table6, covfuzz, fig12, trials, remediation, chaos")
 	fuzzBudget := fs.Duration("fuzz", 24*time.Hour, "fuzzing budget for the campaign experiments (paper: 24h)")
 	ablation := fs.Duration("ablation", time.Hour, "budget for the ablation study (paper: 1h)")
 	window := fs.Duration("window", 800*time.Second, "figure 12 plot window (paper: ~800s)")
@@ -98,10 +96,6 @@ func run(args []string) error {
 	chaosSeed := fs.Int64("chaos-seed", 1, "deterministic seed for the chaos campaign's fault injectors")
 	obsAddr := fs.String("obs-addr", "", "serve the observability endpoints (/debug/pprof, /metrics, /healthz, /timeline) on this address, e.g. localhost:6060")
 	profileDir := fs.String("profile-dir", "", "enable mutex/block contention profiling and write pprof-format snapshots into this directory at run end")
-	scalingOut := fs.String("scaling-out", "", "scaling: also write the report to this file as JSON (BENCH_scaling.json)")
-	scalingWorkers := fs.String("scaling-workers", "1,2,4,8", "scaling: comma-separated worker counts to sweep")
-	scalingBaseline := fs.String("scaling-baseline", "", "scaling: compare against this committed report and fail if parallel efficiency at the top worker count regressed >10%")
-	gitSHA := fs.String("git-sha", "", "stamp bench reports with this commit (scripts pass it; empty omits)")
 	ckptDir := fs.String("checkpoint-dir", "", "journal completed campaign jobs into this directory (crash-safe; resume with -resume)")
 	resume := fs.Bool("resume", false, "continue existing journals in -checkpoint-dir instead of refusing to overwrite them")
 	buglogOut := fs.String("buglog-out", "", "write every completed campaign's findings to this file as bug-log JSON lines")
@@ -336,52 +330,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println(tbl.String())
-	}
-	// The scaling sweep also runs only on request: it is a bench, not a
-	// paper table. It measures the fleet across worker counts, prints the
-	// ranked bottleneck report, and optionally gates against a committed
-	// baseline (the nightly CI leg).
-	if *which == "scaling" {
-		ran = true
-		var ws []int
-		for _, s := range strings.Split(*scalingWorkers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -scaling-workers entry %q", s)
-			}
-			ws = append(ws, n)
-		}
-		// Load the baseline before sweeping: a missing file fails fast, and
-		// gating against the -scaling-out file being refreshed compares
-		// old-versus-new instead of new-vs-new.
-		var (
-			base *obs.ScalingReport
-			err  error
-		)
-		if *scalingBaseline != "" {
-			if base, err = obs.LoadScalingReport(*scalingBaseline); err != nil {
-				return err
-			}
-		}
-		rep, err := harness.ScalingSweep(harness.ScalingConfig{
-			Workers: ws, Budget: *fuzzBudget, GitSHA: *gitSHA, Contention: true,
-		})
-		tick.clear()
-		if err != nil {
-			return err
-		}
-		fmt.Println(rep.Table())
-		if *scalingOut != "" {
-			if err := rep.WriteFile(*scalingOut); err != nil {
-				return err
-			}
-		}
-		if base != nil {
-			if err := obs.CheckRegression(base, rep, 0.10); err != nil {
-				return err
-			}
-			fmt.Printf("scaling gate: efficiency within 10%% of baseline %s\n", *scalingBaseline)
-		}
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *which)

@@ -94,76 +94,12 @@ func TestRunCampaignExperimentsShortBudget(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "table99"}); err == nil {
-		t.Fatal("accepted unknown experiment")
-	}
-}
-
-// TestScalingCLI drives -run scaling end to end at a tiny budget and
-// checks the CLI wiring, not the host: -scaling-out writes a report that
-// LoadScalingReport reads back, and -scaling-baseline gates against a
-// baseline whose top-point efficiency the test sets — 0.01 must pass and
-// 100 must fail as a regression. A 0.15 s sweep is too short to tell a
-// real efficiency drop from scheduler noise, so the gate is never asked
-// to compare two measured sweeps.
-func TestScalingCLI(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "scaling.json")
-	sweep := []string{"-run", "scaling", "-fuzz", "30m", "-scaling-workers", "1,2"}
-	printed := captureStdout(t, func() error {
-		return run(append(sweep, "-scaling-out", out, "-git-sha", "test"))
-	})
-	for _, want := range []string{"Fleet scaling", "Ranked serialization sources"} {
-		if !strings.Contains(printed, want) {
-			t.Errorf("scaling output missing %q:\n%s", want, printed)
+	// scaling was the retired worker-count sweep; perfbench measures that.
+	for _, which := range []string{"table99", "scaling"} {
+		err := run([]string{"-run", which})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-run %s: err = %v, want unknown experiment", which, err)
 		}
-	}
-	rep, err := obs.LoadScalingReport(out)
-	if err != nil {
-		t.Fatalf("reading back -scaling-out: %v", err)
-	}
-	if len(rep.Points) == 0 || rep.Host.GitSHA != "test" {
-		t.Fatalf("-scaling-out report: %d points, git sha %q", len(rep.Points), rep.Host.GitSHA)
-	}
-
-	// baseline writes rep with every point's efficiency set to eff, so the
-	// top point CheckRegression compares against carries it too.
-	baseline := func(name string, eff float64) string {
-		b := *rep
-		b.Points = append([]obs.ScalingPoint(nil), rep.Points...)
-		for i := range b.Points {
-			b.Points[i].Efficiency = eff
-		}
-		path := filepath.Join(dir, name)
-		if err := b.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	low := baseline("low.json", 0.01)
-	gated := captureStdout(t, func() error {
-		return run(append(sweep, "-scaling-baseline", low))
-	})
-	if !strings.Contains(gated, "scaling gate: efficiency within 10%") {
-		t.Errorf("no gate confirmation against a 0.01-efficiency baseline:\n%s", gated)
-	}
-	high := baseline("high.json", 100)
-	var gateErr error
-	captureStdout(t, func() error {
-		gateErr = run(append(sweep, "-scaling-baseline", high))
-		return nil
-	})
-	if gateErr == nil || !strings.Contains(gateErr.Error(), "regressed") {
-		t.Errorf("gate against a 100-efficiency baseline returned %v, want a regression error", gateErr)
-	}
-}
-
-func TestScalingFlagValidation(t *testing.T) {
-	if err := run([]string{"-run", "scaling", "-scaling-workers", "1,zero"}); err == nil {
-		t.Error("bad -scaling-workers accepted")
-	}
-	if err := run([]string{"-run", "scaling", "-scaling-baseline", "/no/such/file.json"}); err == nil {
-		t.Error("missing -scaling-baseline file accepted")
 	}
 }
 

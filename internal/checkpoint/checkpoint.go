@@ -26,8 +26,10 @@
 // loss. A crash mid-write leaves a partial final line; Recover detects
 // it (parse or CRC failure on the last record only), reports it, and
 // truncates the file back to the last durable record before reopening
-// for append. A damaged record that is *not* the tail is real
-// corruption — Load fails loudly instead of resuming from it.
+// for append. A crash that persisted a whole record but not its newline
+// leaves a valid final record; Recover keeps it and restores the
+// newline. A damaged record that is *not* the tail is real corruption —
+// Load fails loudly instead of resuming from it.
 //
 // # Determinism contract
 //
@@ -268,7 +270,10 @@ type Replay struct {
 
 	// validEnd is the byte offset just past the last durable record.
 	validEnd int64
-	nextSeq  int
+	// tornNewline reports that the last durable record ends the file
+	// without its newline: a kill landed between its last byte and '\n'.
+	tornNewline bool
+	nextSeq     int
 }
 
 // ByIndex returns the replayed job outcomes keyed by job index. A job
@@ -302,15 +307,24 @@ func Load(path string) (*Replay, error) {
 	defer f.Close()
 
 	rep := &Replay{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	rd := bufio.NewReader(f)
 	var offset int64
 	line := 0
 	var pendingErr string // damage seen on the most recent line
-	for sc.Scan() {
+	for {
+		raw, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("checkpoint: reading %s: %w", path, err)
+		}
+		if len(raw) == 0 {
+			break
+		}
 		line++
-		raw := sc.Bytes()
-		lineLen := int64(len(raw)) + 1 // newline
+		lineLen := int64(len(raw))
+		torn := raw[len(raw)-1] != '\n' // the file ends inside this line
+		if !torn {
+			raw = raw[:len(raw)-1]
+		}
 		if pendingErr != "" {
 			// The damaged line was not the tail after all.
 			return nil, fmt.Errorf("checkpoint: %s: record %d corrupted mid-journal: %s",
@@ -362,9 +376,7 @@ func Load(path string) (*Replay, error) {
 		rep.nextSeq++
 		offset += lineLen
 		rep.validEnd = offset
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading %s: %w", path, err)
+		rep.tornNewline = torn
 	}
 	if pendingErr != "" {
 		rep.TailTruncated = true
@@ -378,7 +390,9 @@ func Load(path string) (*Replay, error) {
 
 // Recover loads a journal and reopens it for appending: the
 // kill-anywhere resume path. A damaged tail record is truncated away
-// first so subsequent appends extend a clean journal.
+// first so subsequent appends extend a clean journal. A durable final
+// record whose newline the kill cut off gets the newline back, so the
+// next append starts a line of its own.
 func Recover(path string) (*Journal, *Replay, error) {
 	rep, err := Load(path)
 	if err != nil {
@@ -393,6 +407,16 @@ func Recover(path string) (*Journal, *Replay, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: reopening journal: %w", err)
+	}
+	if rep.tornNewline {
+		if _, err = f.Write([]byte{'\n'}); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("checkpoint: restoring the final newline: %w", err)
+		}
+		mRecovered.Inc()
 	}
 	return &Journal{f: f, path: path, nextSeq: rep.nextSeq}, rep, nil
 }

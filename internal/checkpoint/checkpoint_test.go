@@ -139,6 +139,89 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestRecoverRestoresTornNewline: a kill can persist a whole record but
+// not its newline. The record is durable and CRC-valid, so Recover keeps
+// it, and the journal must stay loadable through two more appends instead
+// of gluing the next record onto the same line.
+func TestRecoverRestoresTornNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	writeJournal(t, path, 2)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, clean[:len(clean)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rep, err := Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TailTruncated || len(rep.Jobs) != 2 {
+		t.Fatalf("recover: truncated=%v jobs=%d, want clean 2", rep.TailTruncated, len(rep.Jobs))
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(clean) {
+		t.Fatalf("recovered journal is not the clean one (err %v):\n%s", err, got)
+	}
+	for i := 2; i < 4; i++ {
+		if err := j.Append(record(i, fmt.Sprintf(`{"value":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	back, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.TailTruncated || len(back.Jobs) != 4 {
+		t.Fatalf("after two appends: truncated=%v jobs=%d, want clean 4", back.TailTruncated, len(back.Jobs))
+	}
+	for i, rec := range back.Jobs {
+		if want := fmt.Sprintf(`{"value":%d}`, i); string(rec.Body) != want {
+			t.Errorf("job %d body = %s, want %s", i, rec.Body, want)
+		}
+	}
+}
+
+// TestRecoverCRLFJournal: Load measures offsets in file bytes, so a
+// journal whose lines end in "\r\n" (an editor or a transfer rewrote
+// them) is truncated at the right byte and gets its torn newline back.
+func TestRecoverCRLFJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	writeJournal(t, path, 2)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf := strings.ReplaceAll(string(clean), "\n", "\r\n")
+	for _, in := range []string{
+		crlf[:len(crlf)-2],                       // torn newline
+		crlf + `{"v":1,"type":"job","seq":3,"bo`, // damaged tail
+	} {
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rep, err := Recover(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(record(2, `{"value":2}`)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		back, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.TailTruncated || len(rep.Jobs) != 2 || len(back.Jobs) != 3 {
+			t.Fatalf("recovered %d jobs, reloaded truncated=%v with %d, want 2 then clean 3",
+				len(rep.Jobs), back.TailTruncated, len(back.Jobs))
+		}
+	}
+}
+
 // TestMidJournalCorruptionFails: damage that is not the tail is real
 // corruption and must fail loudly, never be replayed around.
 func TestMidJournalCorruptionFails(t *testing.T) {

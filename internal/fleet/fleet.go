@@ -151,15 +151,10 @@ type Config struct {
 	// Campaigns are CPU-bound (the simulation never blocks on real I/O
 	// apart from the serialized checkpoint append), so worker goroutines
 	// beyond GOMAXPROCS cannot add throughput — they only add scheduler
-	// churn and cache interleaving. The 1→8 worker sweep in
-	// BENCH_scaling.json measured that oversubscription tax at ~7% sim-rate
-	// on a 1-P host, so Run caps the pool at GOMAXPROCS. Results are
-	// byte-identical either way; set AllowOversubscription to measure the
-	// uncapped behavior.
+	// churn and cache interleaving (a 1→8 worker sweep measured that tax at
+	// ~7% sim-rate on a 1-P host), so Run caps the pool at GOMAXPROCS.
+	// Results are byte-identical either way.
 	Workers int
-	// AllowOversubscription disables the GOMAXPROCS worker cap. The
-	// scaling sweep uses it to quantify the overhead the cap removes.
-	AllowOversubscription bool
 	// MaxAttempts is how many times a failing job is run (each attempt on
 	// a fresh testbed) before it is reported failed. Zero or negative
 	// means DefaultMaxAttempts.
@@ -182,7 +177,7 @@ type Config struct {
 	// Timeline, if set, records per-worker phase intervals (build, the
 	// pipeline phases, persist, idle) on the wall clock and, for the
 	// phases that run on the job's testbed, on its simulated clock — the
-	// source of the scaling report, the /timeline endpoint and -trace-out.
+	// source of the /timeline endpoint and -trace-out.
 	// Nil disables recording at zero cost; attaching one never changes
 	// campaign results.
 	Timeline *obs.Timeline
@@ -299,18 +294,13 @@ func (f *Fleet[T]) WithResume(cached func(i int, job Job) (T, bool), persist fun
 }
 
 // EffectiveWorkers returns the worker-goroutine count Run will actually
-// use for a fleet of `jobs` jobs: Workers clamped to the job count and —
-// unless AllowOversubscription — to GOMAXPROCS, since extra goroutines on
-// a CPU-bound pool cost sim-rate instead of adding it.
+// use for a fleet of `jobs` jobs: Workers clamped to the job count and to
+// GOMAXPROCS, since extra goroutines on a CPU-bound pool cost sim-rate
+// instead of adding it.
 func (c Config) EffectiveWorkers(jobs int) int {
 	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !c.AllowOversubscription {
-		if p := runtime.GOMAXPROCS(0); workers > p {
-			workers = p
-		}
+	if p := runtime.GOMAXPROCS(0); workers <= 0 || workers > p {
+		workers = p
 	}
 	if workers > jobs {
 		workers = jobs

@@ -43,7 +43,7 @@ func BenchmarkFleetParallelism(b *testing.B) {
 				}
 			}
 			// Simulated seconds fuzzed per wall second — the fleet's
-			// throughput figure (scripts/bench.sh exports it as sim_rate).
+			// throughput figure.
 			b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "simsec/s")
 		})
 	}

@@ -214,3 +214,40 @@ func TestRecorderAndTracerDoNotPerturbFindings(t *testing.T) {
 		t.Errorf("phases = %v, want %v", phases, want)
 	}
 }
+
+// TestTable5ByteIdenticalWithProfiling pins the determinism criterion:
+// attaching the full observability stack — worker timeline plus runtime
+// contention profiling — leaves Table V byte-identical to the bare run, at workers=1 and workers=8 alike. Profilers that feed back into
+// campaign state would surface here first.
+func TestTable5ByteIdenticalWithProfiling(t *testing.T) {
+	bare, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := obs.StartProfiling(obs.ProfileConfig{MutexFraction: 1})
+	defer restore()
+	for _, workers := range []int{1, 8} {
+		tl := obs.NewTimeline()
+		profTbl, _, err := Table5Fleet(fleetTestBudget, fleet.Config{Workers: workers, Timeline: tl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.String() != profTbl.String() {
+			t.Errorf("Table V differs with profiling at workers=%d:\n--- bare ---\n%s\n--- profiled ---\n%s",
+				workers, bare.String(), profTbl.String())
+		}
+		// The timeline must actually have recorded the run: one lane per
+		// effective worker, with busy time in the pipeline phases.
+		snap := tl.Snapshot()
+		want := fleet.Config{Workers: workers}.EffectiveWorkers(10)
+		if len(snap.Workers) != want {
+			t.Errorf("workers=%d: %d timeline lanes, want %d", workers, len(snap.Workers), want)
+		}
+		if snap.PhaseWallSec[obs.PhaseFuzz] <= 0 {
+			t.Errorf("workers=%d: no fuzz-phase wall time recorded: %v", workers, snap.PhaseWallSec)
+		}
+		if snap.PhaseWallSec[obs.PhaseScan] <= 0 {
+			t.Errorf("workers=%d: no scan-phase wall time recorded: %v", workers, snap.PhaseWallSec)
+		}
+	}
+}

@@ -1,7 +1,7 @@
-// Package obs is the campaign execution profiler: it turns "the fleet
-// doesn't scale" into a ranked, reproducible bottleneck report.
+// Package obs is the campaign execution profiler: it shows where a
+// fleet's wall time goes and which locks its workers wait on.
 //
-// The package layers four pieces on the telemetry registry from
+// The package layers three pieces on the telemetry registry from
 // internal/telemetry:
 //
 //   - Worker timelines (Timeline): the repository's one span model.
@@ -21,9 +21,6 @@
 //     /healthz, and /timeline (the live worker timeline as JSON) —
 //     replacing the fire-and-forget pprof goroutines the CLIs used to
 //     start.
-//   - The scaling report (ScalingReport): parallel efficiency across
-//     worker counts with per-phase wall-time attribution and a
-//     deterministic bottleneck ranking.
 //
 // Determinism contract: nothing in this package is consulted by the
 // simulation. Attaching a Timeline, enabling contention profiling, or
@@ -250,37 +247,6 @@ func (s Snapshot) WallSec() float64 {
 		return 0
 	}
 	return s.At.Sub(s.Start).Seconds()
-}
-
-// PhaseShares returns phases sorted by descending wall share of the
-// summed per-phase time (idle included).
-func (s Snapshot) PhaseShares() []PhaseShare {
-	var total float64
-	for _, sec := range s.PhaseWallSec {
-		total += sec
-	}
-	out := make([]PhaseShare, 0, len(s.PhaseWallSec))
-	for phase, sec := range s.PhaseWallSec {
-		ps := PhaseShare{Phase: phase, WallSec: sec}
-		if total > 0 {
-			ps.Share = sec / total
-		}
-		out = append(out, ps)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].WallSec != out[j].WallSec {
-			return out[i].WallSec > out[j].WallSec
-		}
-		return out[i].Phase < out[j].Phase
-	})
-	return out
-}
-
-// PhaseShare is one phase's slice of the fleet's summed wall time.
-type PhaseShare struct {
-	Phase   string  `json:"phase"`
-	WallSec float64 `json:"wall_sec"`
-	Share   float64 `json:"share"`
 }
 
 // Snapshot captures the timeline, truncating in-flight intervals at the

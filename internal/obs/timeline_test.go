@@ -85,18 +85,6 @@ func TestTimelinePhaseAttribution(t *testing.T) {
 		t.Errorf("BusyShare = %v, want 6/11", got)
 	}
 
-	// fuzz and idle tie at 5s; the deterministic tie-break is by name.
-	shares := snap.PhaseShares()
-	if len(shares) == 0 || shares[0].Phase != obs.PhaseFuzz {
-		t.Fatalf("dominant phase = %+v, want fuzz (5s, name tie-break) first", shares)
-	}
-	var total float64
-	for _, ps := range shares {
-		total += ps.Share
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Errorf("shares sum to %v, want 1", total)
-	}
 }
 
 func TestTimelineSnapshotTruncatesInFlight(t *testing.T) {

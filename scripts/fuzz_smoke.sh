@@ -23,6 +23,7 @@ FuzzS2Decrypt ./internal/security
 FuzzReadLog ./internal/zcover/fuzz
 FuzzDecodeSerial ./internal/serialapi
 FuzzDecodeOutcome ./internal/harness
+FuzzRecover ./internal/checkpoint
 "
 
 echo "$targets" | while read -r name pkg; do

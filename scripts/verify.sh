@@ -5,7 +5,7 @@
 #   ./scripts/verify.sh          # short suite (fast)
 #   ./scripts/verify.sh -full    # include the 24h-budget campaign tests
 #   ./scripts/verify.sh -fuzz    # also run the fuzz-smoke burst afterwards
-#   ./scripts/verify.sh -bench   # also ratchet allocs/op vs BENCH_fleet.json
+#   ./scripts/verify.sh -bench   # also ratchet allocs/op vs scripts/allocs_baseline.txt
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -112,11 +112,19 @@ if [ -n "$fuzz" ]; then
 fi
 
 if [ -n "$bench" ]; then
-    echo "== allocs/op ratchet (BenchmarkFleetParallelism/workers=1, BenchmarkCovFuzz) =="
-    # Fail when a hot-path benchmark's allocs/op regresses more than 10%
-    # over the committed BENCH_fleet.json figure. allocs/op is used because
+    echo "== allocs/op ratchet =="
+    # Fail when a benchmark named in scripts/allocs_baseline.txt (one
+    # "<benchmark> <allocs/op>" line each, edited by hand) allocates more
+    # than 10% over its committed figure, or was not measured at all, so a
+    # renamed or deleted benchmark cannot pass. allocs/op is used because
     # it is iteration-exact — unlike ns/op it does not wobble with machine
-    # load, so a 2-iteration run gates reliably.
+    # load, so a 2-iteration run gates reliably. Wall-clock performance is
+    # measured by perfbench (perfbench/README.md).
+    allocs_baseline="scripts/allocs_baseline.txt"
+    if [ ! -f "$allocs_baseline" ]; then
+        echo "allocs ratchet: $allocs_baseline is missing" >&2
+        exit 1
+    fi
     bench_raw="$(mktemp)"
     bench_status="$(mktemp)"
     { go test ./internal/harness -run '^$' -bench 'BenchmarkFleetParallelism/workers=1$|BenchmarkCovFuzz$' \
@@ -129,16 +137,13 @@ if [ -n "$bench" ]; then
     rm -f "$bench_status"
     awk '
     NR == FNR {
-        if ($0 ~ /"name":/) {
-            name = $0
-            sub(/.*"name": "/, "", name)
-            sub(/".*/, "", name)
-            for (i = 1; i <= NF; i++) if ($i == "\"allocs_per_op\":") {
-                v = $(i+1)
-                sub(/,/, "", v)
-                base[name] = v
-            }
+        if (NF == 0) next
+        if (NF != 2 || $2 !~ /^[0-9]+$/) {
+            printf "allocs ratchet: malformed baseline line %d: %s\n", FNR, $0
+            bad = 1
+            next
         }
+        base[$1] = $2
         next
     }
     /^Benchmark/ {
@@ -147,13 +152,13 @@ if [ -n "$bench" ]; then
         for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") now[name] = $i
     }
     END {
-        bad = 0
         checked = 0
-        for (name in now) {
-            if (!(name in base)) continue
+        for (name in base) {
             checked++
-            limit = base[name] * 1.10
-            if (now[name] + 0 > limit) {
+            if (!(name in now)) {
+                printf "allocs ratchet: %s: baselined but not measured\n", name
+                bad = 1
+            } else if (now[name] + 0 > base[name] * 1.10) {
                 printf "allocs ratchet: %s: %d allocs/op exceeds baseline %d by more than 10%%\n",
                     name, now[name], base[name]
                 bad = 1
@@ -162,9 +167,12 @@ if [ -n "$bench" ]; then
                     name, now[name], base[name]
             }
         }
-        if (!checked) print "allocs ratchet: missing baseline or measurement; skipping"
+        if (!checked) {
+            print "allocs ratchet: baseline names no benchmark"
+            bad = 1
+        }
         exit bad
-    }' BENCH_fleet.json "$bench_raw"
+    }' "$allocs_baseline" "$bench_raw" || { rm -f "$bench_raw"; exit 1; }
     rm -f "$bench_raw"
 fi
 
